@@ -29,10 +29,12 @@ from .oracle import (
     SEVERITY_BY_CODE,
     BehaviorProfile,
     NoOverlapError,
+    ScenarioOutcome,
     Severity,
     diff_profiles,
-    evaluate_trace,
+    evaluate_result,
     fingerprint,
+    fingerprint_outcomes,
     outcome_to_obj,
     profile_to_obj,
 )
@@ -159,8 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_LOCAL_ERROR
 
     results = run_corpus(experiments, endpoint)
-    label = args.label or args.target
-    profile = fingerprint(results, broker_label=label)
+    # Traces first: no outcome is alive yet while their JSONL is built.
     if args.traces:
         os.makedirs(args.traces, exist_ok=True)
         for result in results:
@@ -169,13 +170,17 @@ def cmd_run(args: argparse.Namespace) -> int:
             path = os.path.join(args.traces, f"{result.experiment.name}.jsonl")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(runner.trace_to_jsonl(result.trace))
+    label = args.label or args.target
+    outcomes = [evaluate_result(result) for result in results]
+    profile = fingerprint_outcomes(results, outcomes, broker_label=label)
 
     threshold = Severity.from_label(args.fail_on)
     exit_code = EXIT_ANOMALIES if _worst_severity(profile) >= threshold else EXIT_CLEAN
     if args.format == "json":
-        report = _json_report(args.target, results, profile, args.fail_on, exit_code)
+        report = _json_report(args.target, results, outcomes, profile,
+                              args.fail_on, exit_code)
     else:
-        report = _md_report(label, results, profile)
+        report = _md_report(label, results, outcomes, profile)
     print(report, end="")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -198,17 +203,17 @@ def _report_meta(target: str) -> dict:
 
 
 def _json_report(target: str, results: list[CorpusResult],
-                 profile: BehaviorProfile, fail_on: str, exit_code: int) -> str:
+                 outcomes: list[ScenarioOutcome | None], profile: BehaviorProfile,
+                 fail_on: str, exit_code: int) -> str:
     scenarios = []
-    for result in results:
+    for result, outcome in zip(results, outcomes):
         entry: dict = {"experiment": result.experiment.name,
                        "skipped": result.skipped,
                        "liveness": {"alive": result.liveness.alive,
                                     "detail": result.liveness.detail}}
         if result.trace is not None:
             entry["trace_outcome"] = result.trace.outcome
-            if result.trace.outcome != runner.OUTCOME_RUNNER_ERROR:
-                outcome = evaluate_trace(result.experiment, result.trace)
+            if outcome is not None:
                 entry["outcome"] = outcome_to_obj(outcome)
         scenarios.append(entry)
     report = _report_meta(target)
@@ -230,7 +235,7 @@ def _security_problems(profile: BehaviorProfile) -> str:
 
 
 def _md_report(label: str, results: list[CorpusResult],
-               profile: BehaviorProfile) -> str:
+               outcomes: list[ScenarioOutcome | None], profile: BehaviorProfile) -> str:
     meta = _report_meta(label)
     findings = [f"{name}: {', '.join(summary.anomalies)}"
                 for name, summary in sorted(profile.outcomes.items())
@@ -252,7 +257,7 @@ def _md_report(label: str, results: list[CorpusResult],
         "## Scenario detail",
         "",
     ]
-    for result in results:
+    for result, outcome in zip(results, outcomes):
         name = result.experiment.name
         summary = profile.outcomes.get(name)
         if summary is None:
@@ -260,9 +265,7 @@ def _md_report(label: str, results: list[CorpusResult],
         if summary.skipped is not None:
             lines.append(f"- `{name}`: skipped ({summary.skipped})")
             continue
-        if result.trace is not None and \
-                result.trace.outcome != runner.OUTCOME_RUNNER_ERROR:
-            outcome = evaluate_trace(result.experiment, result.trace)
+        if outcome is not None:
             detail = "; ".join(
                 f"{a.code} ({a.severity.label}): {a.explanation}"
                 for a in outcome.anomalies) or "clean"

@@ -10,6 +10,11 @@ on the wire exactly as scripted, because reusing them is the point.
 Parsing is total over arbitrary JSON text: any input either yields an
 Experiment or raises one of the typed errors below with a path to the
 offending element.
+
+``model_script`` replays a script through a conformant-broker model to
+say which deliveries it should cause, and ``scripted_input_conformant``
+says whether the script stays inside the protocol; the runner settles
+on them and the oracle judges by them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import binascii
 import json
 from dataclasses import dataclass, field, fields
 
-from . import codec
+from . import codec, topics
 
 MAX_WAIT_MS = 60_000
 MAX_REPEAT = 100_000
@@ -234,6 +239,92 @@ def expand_steps(experiment: Experiment) -> list[Step]:
 
     walk(experiment.steps)
     return out
+
+
+# --- script model ----------------------------------------------------------
+
+Identity = tuple[bytes, bytes]  # (topic, payload)
+
+
+@dataclass
+class ScriptModel:
+    expected: list[Identity]            # conformant delivery order
+    suppressed: list[Identity]          # qos2 same-id retransmissions
+    qos0_identities: set[Identity]      # loss of these is legal
+    orphan_pubrels: list[tuple[str, int]]
+    subscriber_sessions: set[str]
+    exact_filters: dict[str, list[tuple[bytes, int]]]  # session -> (filter, sub packet_id)
+
+
+def model_script(experiment: Experiment) -> ScriptModel:
+    """Replay the script through a conformant broker model."""
+    model = ScriptModel(expected=[], suppressed=[], qos0_identities=set(),
+                        orphan_pubrels=[], subscriber_sessions=set(),
+                        exact_filters={})
+    subscriptions: list[bytes] = []
+    open_qos2: dict[str, set[int]] = {}
+    seen_qos2: dict[str, set[int]] = {}
+    for step in expand_steps(experiment):
+        if isinstance(step, SubscribeStep):
+            model.subscriber_sessions.add(step.session)
+            if not topics.validate_filter(step.filter):
+                subscriptions.append(step.filter)
+                if not any(c in step.filter for c in b"+#"):
+                    model.exact_filters.setdefault(step.session, []).append(
+                        (step.filter, step.packet_id))
+        elif isinstance(step, UnsubscribeStep):
+            subscriptions = [f for f in subscriptions if f != step.filter]
+        elif isinstance(step, PublishStep):
+            identity = (step.topic, step.payload)
+            opened = open_qos2.setdefault(step.session, set())
+            if step.qos == 2 and step.packet_id in opened:
+                model.suppressed.append(identity)
+                continue
+            if step.qos == 2 and step.packet_id is not None:
+                opened.add(step.packet_id)
+                seen_qos2.setdefault(step.session, set()).add(step.packet_id)
+            if any(topics.match_filter(f, step.topic) for f in subscriptions):
+                model.expected.append(identity)
+                if step.qos == 0:
+                    model.qos0_identities.add(identity)
+        elif isinstance(step, PubrelStep):
+            opened = open_qos2.setdefault(step.session, set())
+            opened.discard(step.packet_id)
+            if step.packet_id not in seen_qos2.get(step.session, set()):
+                model.orphan_pubrels.append((step.session, step.packet_id))
+    return model
+
+
+def scripted_input_conformant(experiment: Experiment) -> bool:
+    """Stateless scan: does the script stay inside the protocol?
+
+    Deliberate packet-id reuse is NOT flagged: whether that is legal is
+    exactly the question the QoS scenarios pose, and flagging it would
+    reclassify their disconnect responses as conformant.
+    """
+    for decl in experiment.sessions:
+        if decl.protocol_name != b"MQTT" or decl.protocol_level != 4:
+            return False
+        try:
+            decl.client_id.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+    for step in expand_steps(experiment):
+        if isinstance(step, (SendRawStep, SpliceNextStep)):
+            return False
+        if isinstance(step, SubscribeStep) and topics.validate_filter(step.filter):
+            return False
+        if isinstance(step, UnsubscribeStep) and topics.validate_filter(step.filter):
+            return False
+        if isinstance(step, PublishStep):
+            if topics.validate_topic(step.topic):
+                return False
+            if step.packet_id == 0:
+                return False
+        if isinstance(step, (PubackStep, PubrecStep, PubrelStep, PubcompStep)):
+            if step.packet_id == 0:
+                return False
+    return True
 
 
 # --- parsing ---------------------------------------------------------------

@@ -35,7 +35,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import topics
 from .codec import (
     Disconnect,
     Puback,
@@ -45,19 +44,7 @@ from .codec import (
     Pubrel,
     Suback,
 )
-from .experiment import (
-    Experiment,
-    PubackStep,
-    PubcompStep,
-    PublishStep,
-    PubrecStep,
-    PubrelStep,
-    SendRawStep,
-    SpliceNextStep,
-    SubscribeStep,
-    UnsubscribeStep,
-    expand_steps,
-)
+from .experiment import Experiment, Identity, model_script, scripted_input_conformant
 from .runner import (
     K_CLOSED_BY_PEER,
     K_RECEIVED,
@@ -135,9 +122,6 @@ class Anomaly:
     explanation: str
 
 
-Identity = tuple[bytes, bytes]  # (topic, payload)
-
-
 @dataclass(frozen=True)
 class ScenarioOutcome:
     experiment_name: str
@@ -174,89 +158,6 @@ def _payload_text(payload: bytes, limit: int = 24) -> str:
     return text[:limit] + ("..." if len(text) > limit else "")
 
 
-# --- script model ----------------------------------------------------------
-
-@dataclass
-class _ScriptModel:
-    expected: list[Identity]            # conformant delivery order
-    suppressed: list[Identity]          # qos2 same-id retransmissions
-    qos0_identities: set[Identity]      # loss of these is legal
-    orphan_pubrels: list[tuple[str, int]]
-    subscriber_sessions: set[str]
-    exact_filters: dict[str, list[tuple[bytes, int]]]  # session -> (filter, sub packet_id)
-
-
-def _model_script(experiment: Experiment) -> _ScriptModel:
-    """Replay the script through a conformant broker model."""
-    model = _ScriptModel(expected=[], suppressed=[], qos0_identities=set(),
-                         orphan_pubrels=[], subscriber_sessions=set(),
-                         exact_filters={})
-    subscriptions: list[bytes] = []
-    open_qos2: dict[str, set[int]] = {}
-    seen_qos2: dict[str, set[int]] = {}
-    for step in expand_steps(experiment):
-        if isinstance(step, SubscribeStep):
-            model.subscriber_sessions.add(step.session)
-            if not topics.validate_filter(step.filter):
-                subscriptions.append(step.filter)
-                if not any(c in step.filter for c in b"+#"):
-                    model.exact_filters.setdefault(step.session, []).append(
-                        (step.filter, step.packet_id))
-        elif isinstance(step, UnsubscribeStep):
-            subscriptions = [f for f in subscriptions if f != step.filter]
-        elif isinstance(step, PublishStep):
-            identity = (step.topic, step.payload)
-            opened = open_qos2.setdefault(step.session, set())
-            if step.qos == 2 and step.packet_id in opened:
-                model.suppressed.append(identity)
-                continue
-            if step.qos == 2 and step.packet_id is not None:
-                opened.add(step.packet_id)
-                seen_qos2.setdefault(step.session, set()).add(step.packet_id)
-            if any(topics.match_filter(f, step.topic) for f in subscriptions):
-                model.expected.append(identity)
-                if step.qos == 0:
-                    model.qos0_identities.add(identity)
-        elif isinstance(step, PubrelStep):
-            opened = open_qos2.setdefault(step.session, set())
-            opened.discard(step.packet_id)
-            if step.packet_id not in seen_qos2.get(step.session, set()):
-                model.orphan_pubrels.append((step.session, step.packet_id))
-    return model
-
-
-def scripted_input_conformant(experiment: Experiment) -> bool:
-    """Stateless scan: does the script stay inside the protocol?
-
-    Deliberate packet-id reuse is NOT flagged: whether that is legal is
-    exactly the question the QoS scenarios pose, and flagging it would
-    reclassify their disconnect responses as conformant.
-    """
-    for decl in experiment.sessions:
-        if decl.protocol_name != b"MQTT" or decl.protocol_level != 4:
-            return False
-        try:
-            decl.client_id.decode("utf-8")
-        except UnicodeDecodeError:
-            return False
-    for step in expand_steps(experiment):
-        if isinstance(step, (SendRawStep, SpliceNextStep)):
-            return False
-        if isinstance(step, SubscribeStep) and topics.validate_filter(step.filter):
-            return False
-        if isinstance(step, UnsubscribeStep) and topics.validate_filter(step.filter):
-            return False
-        if isinstance(step, PublishStep):
-            if topics.validate_topic(step.topic):
-                return False
-            if step.packet_id == 0:
-                return False
-        if isinstance(step, (PubackStep, PubrecStep, PubrelStep, PubcompStep)):
-            if step.packet_id == 0:
-                return False
-    return True
-
-
 # --- trace views -----------------------------------------------------------
 
 def _received(trace: Trace) -> list[TraceEvent]:
@@ -282,7 +183,7 @@ def _deliveries(trace: Trace, subscriber_sessions: set[str]) -> list[TraceEvent]
     return out
 
 
-def _closes(trace: Trace, experiment: Experiment) -> list[TraceEvent]:
+def _closes(trace: Trace) -> list[TraceEvent]:
     """Peer closes, excluding those after a scripted disconnect."""
     disconnect_seq: dict[str, int] = {}
     for event in trace.events:
@@ -299,10 +200,10 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     if trace.experiment_name != experiment.name:
         raise TraceMismatchError(
             f"trace is for {trace.experiment_name!r}, not {experiment.name!r}")
-    model = _model_script(experiment)
+    model = model_script(experiment)
     delivery_events = _deliveries(trace, model.subscriber_sessions)
     delivered = [(e.packet.topic, e.packet.payload) for e in delivery_events]  # type: ignore[union-attr]
-    closes = _closes(trace, experiment)
+    closes = _closes(trace)
     conformant = scripted_input_conformant(experiment)
     anomalies: list[Anomaly] = []
 
@@ -343,14 +244,10 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
                     f"published {want} time(s)"))
 
     # R2: first-occurrence order of commonly-known identities.
-    observed_first: list[Identity] = []
-    for identity in delivered:
-        if identity not in observed_first and identity in expected_counts:
-            observed_first.append(identity)
-    expected_first: list[Identity] = []
-    for identity in model.expected:
-        if identity not in expected_first and identity in observed_counts:
-            expected_first.append(identity)
+    observed_first = list(dict.fromkeys(
+        identity for identity in delivered if identity in expected_counts))
+    expected_first = list(dict.fromkeys(
+        identity for identity in model.expected if identity in observed_counts))
     if observed_first != expected_first:
         evidence = tuple(e.seq for e in delivery_events)
         order = ", ".join(_payload_text(p) for _, p in observed_first)
@@ -472,30 +369,45 @@ def summarize_outcome(outcome: ScenarioOutcome) -> ScenarioSummary:
         aborted=outcome.aborted)
 
 
+def evaluate_result(result: CorpusResult) -> ScenarioOutcome | None:
+    """Classify one corpus result; None when it has no trace to judge."""
+    if result.skipped is not None or result.trace is None \
+            or result.trace.outcome == OUTCOME_RUNNER_ERROR:
+        return None
+    return evaluate_trace(result.experiment, result.trace)
+
+
 def fingerprint(results: list[CorpusResult], broker_label: str,
                 version: str = "") -> BehaviorProfile:
-    """Canonical per-scenario summary of one corpus run.
+    """Canonical per-scenario summary of one corpus run."""
+    return fingerprint_outcomes(results, [evaluate_result(r) for r in results],
+                                broker_label, version)
+
+
+def fingerprint_outcomes(results: list[CorpusResult],
+                         outcomes: list[ScenarioOutcome | None],
+                         broker_label: str, version: str = "") -> BehaviorProfile:
+    """Summarize a corpus run whose results ``evaluate_result`` already classified.
 
     A dead liveness probe after a scenario rewrites that scenario's
     unexpected-disconnect (if any) into broker-crash: the close was the
     process dying, not a policy decision.
     """
-    outcomes: dict[str, ScenarioSummary] = {}
-    for result in results:
+    summaries: dict[str, ScenarioSummary] = {}
+    for result, outcome in zip(results, outcomes):
         name = result.experiment.name
         if result.skipped is not None or result.trace is None:
-            outcomes[name] = ScenarioSummary(delivered=(), anomalies=(),
-                                             skipped=result.skipped or "no trace")
+            summaries[name] = ScenarioSummary(delivered=(), anomalies=(),
+                                              skipped=result.skipped or "no trace")
             continue
-        if result.trace.outcome == OUTCOME_RUNNER_ERROR:
+        if outcome is None:
             codes: tuple[str, ...] = ()
             if not result.liveness.alive:
                 codes = (BROKER_CRASH,)
-            outcomes[name] = ScenarioSummary(
+            summaries[name] = ScenarioSummary(
                 delivered=(), anomalies=codes, aborted=True,
                 skipped=f"runner error: {result.trace.outcome_detail}")
             continue
-        outcome = evaluate_trace(result.experiment, result.trace)
         summary = summarize_outcome(outcome)
         if not result.liveness.alive:
             codes = tuple(sorted(
@@ -503,9 +415,9 @@ def fingerprint(results: list[CorpusResult], broker_label: str,
                 | {BROKER_CRASH}))
             summary = ScenarioSummary(delivered=summary.delivered,
                                       anomalies=codes, aborted=summary.aborted)
-        outcomes[name] = summary
+        summaries[name] = summary
     return BehaviorProfile(broker_label=broker_label, version=version,
-                           outcomes=outcomes)
+                           outcomes=summaries)
 
 
 def profile_anomaly_codes(profile: BehaviorProfile) -> dict[str, tuple[str, ...]]:

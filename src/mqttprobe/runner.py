@@ -1,11 +1,30 @@
 """Experiment execution against a live broker endpoint.
 
-Steps run strictly sequentially on the main thread while one reader
-thread per session drains its socket; a single arrival sequencer
-assigns every event (sent and received, all sessions) a gap-free seq
-and a millisecond timestamp, so cross-session order is total.  All
-inbound bytes become Received events via permissive decoding: frames
-that cannot be parsed are preserved as Raw events, never dropped.
+One selector loop on the calling thread runs the steps and drains every
+session socket.  A step's frame is recorded as a Sent event and appended
+to its session's outbound buffer, which must empty before the next step
+starts.  The loop reads every socket whenever the runner waits (a send
+the socket cannot take yet, a ``wait`` step, settle) and at least every
+READ_INTERVAL_S between steps, so a broker that stops reading one
+session until it can write to another cannot wedge the run.  A send
+that makes no progress for ``Endpoint.io_timeout_ms`` is a tcp-error.
+Every event (sent and received, all sessions) takes a gap-free seq and
+a millisecond timestamp on that one thread, so cross-session order is
+total, and a Sent event is recorded before its bytes leave, so a reply
+never sequences ahead of the frame that caused it.  All inbound bytes
+become Received events via permissive decoding: frames that cannot be
+parsed are preserved as Raw events, never dropped.
+
+After the last step the runner settles: it keeps listening for at most
+the experiment's ``settle_ms``.  The window ends at once when every
+session is closed, and SETTLE_GAP_MS after the last event once every
+session is settled: closed, or holding every reply its packets call for
+(CONNACK, SUBACK, UNSUBACK, PUBACK/PUBREC, PUBCOMP, PINGRESP, and
+PUBREL for a PUBREC it sent) while every delivery the script model
+expects has arrived.  In a script that steps outside the protocol only
+a close settles a session: the broker's answer to the violation is the
+question.  ``wait`` steps are literal.  The trace records the gap and
+which of ``closed``, ``quiet`` or ``cap`` ended the window.
 
 The runner never sends anything the script didn't ask for, with two
 marked exceptions (``auto=True`` on the Sent event): the lazy CONNECT
@@ -23,10 +42,12 @@ not errors.
 from __future__ import annotations
 
 import json
+import math
+import selectors
 import socket
-import threading
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass
 
 from . import codec
@@ -63,6 +84,8 @@ from .experiment import (
     UnsubscribeStep,
     WaitStep,
     expand_steps,
+    model_script,
+    scripted_input_conformant,
 )
 
 K_SENT = "sent"
@@ -70,13 +93,25 @@ K_RECEIVED = "received"
 K_CONNECTED = "connected"
 K_CLOSED_BY_PEER = "closed-by-peer"
 K_TCP_ERROR = "tcp-error"
-# Reserved for await-style steps; the current step set never blocks on
-# a reply, so nothing emits it yet.
-K_TIMEOUT = "timeout"
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_ABORTED_BY_PEER = "aborted-by-peer"
 OUTCOME_RUNNER_ERROR = "runner-error"
+
+SETTLED_CLOSED = "closed"
+SETTLED_QUIET = "quiet"
+SETTLED_CAP = "cap"
+# Steps run back to back without reading for at most this long.  Longer,
+# and a broker writing to one of the sessions stalls on a full socket
+# while the runner keeps sending; reading after every step instead would
+# cost a paced script the time its ``wait`` steps could have spent
+# reading.
+READ_INTERVAL_S = 0.01
+# How long the traffic must stay idle, once everything the script calls
+# for has arrived, before settle ends: it catches frames the model does
+# not predict (a duplicate, a late retransmission) trailing the last
+# expected one.
+SETTLE_GAP_MS = 100
 
 
 class RunnerError(Exception):
@@ -151,6 +186,9 @@ class Trace:
     events: tuple[TraceEvent, ...]
     outcome: str
     outcome_detail: str = ""
+    # Absent from traces written before settle listened for quiet.
+    settle_gap_ms: int | None = None
+    settled_by: str | None = None
 
 
 @dataclass(frozen=True)
@@ -167,71 +205,159 @@ class CorpusResult:
     skipped: str | None = None
 
 
-class _Sequencer:
-    """Assigns seq numbers and timestamps under one lock."""
+_REPLIES: dict[type, type] = {
+    Connect: Connack, Subscribe: codec.Suback, Unsubscribe: codec.Unsuback,
+    Pubrec: Pubrel, Pubrel: Pubcomp, Pingreq: codec.Pingresp,
+}
 
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
+
+def _reply_owed(packet: Packet) -> type | None:
+    """The packet type a conformant broker answers ``packet`` with."""
+    if isinstance(packet, Publish):
+        return {1: Puback, 2: Pubrec}.get(packet.qos)
+    return _REPLIES.get(type(packet))
+
+
+class _Run:
+    """The selector loop and event log one experiment shares across sessions."""
+
+    def __init__(self, experiment: Experiment, endpoint: Endpoint):
+        self.endpoint = endpoint
+        self.selector = selectors.DefaultSelector()
         self.t0 = time.monotonic()
+        self.last_event_at = self.t0
+        self.polled_at = self.t0
         self.events: list[TraceEvent] = []
+        self.sessions = {decl.id: _Session(decl, self) for decl in experiment.sessions}
 
     def record(self, session: str, kind: str, **fields: object) -> TraceEvent:
-        with self.lock:
-            event = TraceEvent(seq=len(self.events),
-                               t_ms=round((time.monotonic() - self.t0) * 1000, 3),
-                               session=session, kind=kind, **fields)  # type: ignore[arg-type]
-            self.events.append(event)
-            return event
+        self.last_event_at = time.monotonic()
+        event = TraceEvent(seq=len(self.events),
+                           t_ms=round((self.last_event_at - self.t0) * 1000, 3),
+                           session=session, kind=kind, **fields)  # type: ignore[arg-type]
+        self.events.append(event)
+        return event
 
-    @property
-    def last_seq(self) -> int:
-        with self.lock:
-            return len(self.events) - 1
+    def poll(self, timeout: float) -> None:
+        """One round of the loop: wait up to ``timeout`` s, serve what is ready."""
+        stall_at = min((s.progress_at + self.endpoint.io_timeout_ms / 1000
+                        for s in self.sessions.values() if s.out), default=math.inf)
+        timeout = min(timeout, stall_at - time.monotonic())
+        ready = self.selector.select(None if math.isinf(timeout) else max(0.0, timeout))
+        self.polled_at = time.monotonic()
+        for key, mask in ready:
+            session = key.data
+            # A hang-up reports both events, also on a socket no longer read.
+            if mask & selectors.EVENT_READ and session.reading:
+                session.read()
+            if mask & selectors.EVENT_WRITE and session.out:
+                session.flush()
+        now = time.monotonic()
+        for session in self.sessions.values():
+            if session.out and now - session.progress_at >= self.endpoint.io_timeout_ms / 1000:
+                session.send_failed(
+                    f"send failed: no progress for {self.endpoint.io_timeout_ms} ms")
+
+    def pump(self, until: float) -> None:
+        """Serve every socket until the monotonic ``until``."""
+        while True:
+            self.poll(until - time.monotonic())
+            if time.monotonic() >= until:
+                return
+
+    def settle(self, experiment: Experiment) -> str:
+        """Listen for at most ``settle_ms`` after the last step; say what ended it."""
+        conformant = scripted_input_conformant(experiment)
+        model = model_script(experiment)
+        missing = Counter(model.expected)
+        owed = sum(missing.values())
+        subscribers = [self.sessions[sid] for sid in model.subscriber_sessions]
+        counted = 0
+        start = time.monotonic()
+        cap = start + experiment.settle_ms / 1000
+        while True:
+            sessions = self.sessions.values()
+            if not any(s.reading for s in sessions):
+                return SETTLED_CLOSED
+            for event in self.events[counted:]:
+                if event.kind == K_RECEIVED and isinstance(event.packet, Publish):
+                    identity = (event.packet.topic, event.packet.payload)
+                    if missing[identity] > 0:
+                        missing[identity] -= 1
+                        owed -= 1
+            counted = len(self.events)
+            deadline, reason = cap, SETTLED_CAP
+            if conformant and all(s.settled for s in sessions) \
+                    and (not owed or not any(s.reading for s in subscribers)):
+                quiet_at = max(start, self.last_event_at) + SETTLE_GAP_MS / 1000
+                if quiet_at < cap:
+                    deadline, reason = quiet_at, SETTLED_QUIET
+            if time.monotonic() >= deadline:
+                return reason
+            self.poll(deadline - time.monotonic())
+
+    def close(self) -> None:
+        for session in self.sessions.values():
+            session.local_close()
+        self.selector.close()
 
 
-class _SessionRun:
-    def __init__(self, decl, endpoint: Endpoint, sequencer: _Sequencer):
+class _Session:
+    def __init__(self, decl, run: _Run):
         self.decl = decl
-        self.endpoint = endpoint
-        self.sequencer = sequencer
+        self.run = run
         self.sock: socket.socket | None = None
-        self.reader: threading.Thread | None = None
-        self.send_lock = threading.Lock()
-        self.locally_closed = False
-        self.stopping = False
+        self.interest = 0            # selector events the socket is registered for
+        self.reading = False         # open, and the peer has not closed its side
+        self.inbuf = b""
+        self.out = bytearray()
+        self.out_scripted = False    # ``out`` still holds a scripted frame
+        self.progress_at = 0.0       # when ``out`` last filled or shrank
+        self.unanswered: Counter = Counter()  # reply type -> still owed
         self.pending_splice: SpliceNextStep | None = None
         self.steps_done_seq = -1
         self.step_send_failed = False
 
     @property
-    def connected(self) -> bool:
-        return self.sock is not None and not self.locally_closed
+    def settled(self) -> bool:
+        return not (self.reading and (self.out or any(self.unanswered.values())))
+
+    def _watch(self) -> None:
+        """Register the socket for reads while open and writes while ``out``."""
+        interest = ((selectors.EVENT_READ if self.reading else 0)
+                    | (selectors.EVENT_WRITE if self.out else 0))
+        if interest == self.interest:
+            return
+        if not self.interest:
+            self.run.selector.register(self.sock, interest, self)
+        elif not interest:
+            self.run.selector.unregister(self.sock)
+        else:
+            self.run.selector.modify(self.sock, interest, self)
+        self.interest = interest
 
     def connect(self, auto: bool) -> None:
         """Open TCP and send CONNECT; used lazily and by connect steps."""
-        if self.sock is not None:
-            self.local_close()
-        self.locally_closed = False
-        self.stopping = False
+        self.local_close()
+        endpoint = self.run.endpoint
         try:
             sock = socket.create_connection(
-                (self.endpoint.host, self.endpoint.port),
-                timeout=self.endpoint.connect_timeout_ms / 1000)
+                (endpoint.host, endpoint.port),
+                timeout=endpoint.connect_timeout_ms / 1000)
         except OSError as exc:
             raise RunnerError(
-                f"cannot connect to {self.endpoint.label}: {exc}") from exc
+                f"cannot connect to {endpoint.label}: {exc}") from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(0.1)
+        sock.setblocking(False)
         self.sock = sock
-        self.sequencer.record(self.decl.id, K_CONNECTED, note=self.endpoint.label)
-        self.reader = threading.Thread(target=self._read_loop, args=(sock,),
-                                       name=f"runner-reader-{self.decl.id}",
-                                       daemon=True)
-        self.reader.start()
+        self.reading = True
+        self.unanswered.clear()
+        self._watch()
+        self.run.record(self.decl.id, K_CONNECTED, note=endpoint.label)
         note = "auto-connect" if auto else ""
-        self._send_packet(self.decl.to_connect(), auto=auto, note=note)
+        self.send_packet(self.decl.to_connect(), auto=auto, note=note)
 
-    def _send_packet(self, packet: Packet, auto: bool, note: str = "") -> None:
+    def send_packet(self, packet: Packet, auto: bool, note: str = "") -> None:
         try:
             frame = codec.encode_packet(packet)
         except codec.CodecError as exc:
@@ -253,54 +379,82 @@ class _SessionRun:
 
     def _send_frame(self, frame: bytes, packet: Packet | None,
                     auto: bool, note: str = "") -> None:
-        sock = self.sock
-        if sock is None or self.locally_closed:
-            self.sequencer.record(self.decl.id, K_TCP_ERROR,
-                                  note="send on closed session", auto=auto)
+        if self.sock is None:
+            self.run.record(self.decl.id, K_TCP_ERROR,
+                            note="send on closed session", auto=auto)
             if not auto:
                 self.step_send_failed = True
             return
-        # The Sent event takes its seq before the bytes leave, under the
-        # send lock, so a reply can never be sequenced ahead of the frame
-        # that caused it.
-        try:
-            with self.send_lock:
-                self.sequencer.record(self.decl.id, K_SENT, packet=packet,
-                                      raw=frame, auto=auto, note=note)
-                sock.sendall(frame)
-        except OSError as exc:
-            self.sequencer.record(self.decl.id, K_TCP_ERROR,
-                                  note=f"send failed: {exc}", auto=auto)
-            if not auto:
-                self.step_send_failed = True
+        self.run.record(self.decl.id, K_SENT, packet=packet, raw=frame,
+                        auto=auto, note=note)
+        if packet is not None:
+            reply = _reply_owed(packet)
+            if reply is not None:
+                self.unanswered[reply] += 1
+        if not self.out:
+            self.progress_at = time.monotonic()
+        self.out += frame
+        self.out_scripted = self.out_scripted or not auto
+        self.flush()
 
-    def _read_loop(self, sock: socket.socket) -> None:
-        buffer = b""
-        ending: tuple[str, str] | None = None
-        while not self.stopping and ending is None:
-            try:
-                chunk = sock.recv(65536)
-            except socket.timeout:
-                continue
-            except ConnectionResetError:
-                ending = (K_CLOSED_BY_PEER, "connection reset")
-            except OSError as exc:
-                ending = (K_TCP_ERROR, f"recv failed: {exc}")
+    def wait_sent(self) -> None:
+        """Serve every socket until ``out`` is written or given up."""
+        while self.out:
+            self.run.poll(math.inf)
+
+    def flush(self) -> None:
+        try:
+            sent = self.sock.send(self.out)  # type: ignore[union-attr]
+        except BlockingIOError:
+            sent = 0
+        except OSError as exc:
+            self.send_failed(f"send failed: {exc}")
+            return
+        if sent:
+            del self.out[:sent]
+            self.progress_at = time.monotonic()
+        if not self.out:
+            self.out_scripted = False
+        self._watch()
+
+    def send_failed(self, note: str) -> None:
+        """Drop the unsent bytes; a lost scripted frame fails the step."""
+        self.run.record(self.decl.id, K_TCP_ERROR, note=note,
+                        auto=not self.out_scripted)
+        if self.out_scripted:
+            self.step_send_failed = True
+        self.out.clear()
+        self.out_scripted = False
+        self._watch()
+
+    def read(self) -> None:
+        try:
+            chunk = self.sock.recv(65536)  # type: ignore[union-attr]
+        except BlockingIOError:
+            return
+        except ConnectionResetError:
+            self._peer_closed(K_CLOSED_BY_PEER, "connection reset")
+        except OSError as exc:
+            self._peer_closed(K_TCP_ERROR, f"recv failed: {exc}")
+        else:
+            if chunk:
+                self.inbuf = self._drain(self.inbuf + chunk)
             else:
-                if not chunk:
-                    ending = (K_CLOSED_BY_PEER, "")
-                else:
-                    buffer += chunk
-                    buffer = self._drain(buffer)
-        # Bytes that never completed a frame still count: flush them before
-        # the close marker so the trace accounts for every byte received.
-        if buffer:
-            self.sequencer.record(self.decl.id, K_RECEIVED,
-                                  packet=Raw(data=buffer), raw=buffer,
-                                  annotations=("unparsed-at-close",))
-        if ending is not None and not self.locally_closed:
-            kind, note = ending
-            self.sequencer.record(self.decl.id, kind, note=note)
+                self._peer_closed(K_CLOSED_BY_PEER, "")
+
+    def _flush_unparsed(self) -> None:
+        # Bytes that never completed a frame still count: record them
+        # before the close so the trace accounts for every byte received.
+        if self.inbuf:
+            self.run.record(self.decl.id, K_RECEIVED, packet=Raw(data=self.inbuf),
+                            raw=self.inbuf, annotations=("unparsed-at-close",))
+            self.inbuf = b""
+
+    def _peer_closed(self, kind: str, note: str) -> None:
+        self._flush_unparsed()
+        self.run.record(self.decl.id, kind, note=note)
+        self.reading = False
+        self._watch()
 
     def _drain(self, buffer: bytes) -> bytes:
         while buffer:
@@ -314,13 +468,15 @@ class _SessionRun:
                     frame, buffer = buffer[:exc.frame_length], buffer[exc.frame_length:]
                 else:
                     frame, buffer = buffer, b""
-                self.sequencer.record(self.decl.id, K_RECEIVED, packet=Raw(frame),
-                                      raw=frame,
-                                      annotations=(f"malformed: {exc.reason}",))
+                self.run.record(self.decl.id, K_RECEIVED, packet=Raw(frame),
+                                raw=frame,
+                                annotations=(f"malformed: {exc.reason}",))
                 continue
             frame, buffer = buffer[:consumed], buffer[consumed:]
-            self.sequencer.record(self.decl.id, K_RECEIVED, packet=packet,
-                                  raw=frame, annotations=tuple(annotations))
+            self.run.record(self.decl.id, K_RECEIVED, packet=packet,
+                            raw=frame, annotations=tuple(annotations))
+            if self.unanswered[type(packet)] > 0:
+                self.unanswered[type(packet)] -= 1
             if self.decl.auto_ack:
                 self._auto_ack(packet)
         return buffer
@@ -342,17 +498,18 @@ class _SessionRun:
             self._send_frame(frame, packet=reply, auto=True, note="auto-ack")
 
     def local_close(self) -> None:
-        self.stopping = True
-        self.locally_closed = True
+        if self.sock is None:
+            return
+        self._flush_unparsed()
+        self.reading = False
+        self.out.clear()
+        self.out_scripted = False
+        self._watch()
         sock, self.sock = self.sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        if self.reader is not None:
-            self.reader.join(timeout=2)
-            self.reader = None
+        try:
+            sock.close()
+        except OSError:
+            pass
 
 
 def _step_packet(step: Step) -> Packet:
@@ -405,46 +562,49 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint) -> Trace:
     """
     check_reachable(endpoint)
     started_at = time.time()
-    sequencer = _Sequencer()
-    sessions = {decl.id: _SessionRun(decl, endpoint, sequencer)
-                for decl in experiment.sessions}
+    run = _Run(experiment, endpoint)
+    sessions = run.sessions
     steps = expand_steps(experiment)
     try:
         for step in steps:
             session = sessions[step.session]
             if isinstance(step, WaitStep):
-                time.sleep(step.ms / 1000)
+                run.pump(time.monotonic() + step.ms / 1000)
             elif isinstance(step, SpliceNextStep):
                 session.pending_splice = step
             elif isinstance(step, ConnectStep):
                 session.connect(auto=False)
             elif isinstance(step, DisconnectStep):
-                if session.connected:
-                    session._send_packet(Disconnect(), auto=False)
+                if session.sock is not None:
+                    session.send_packet(Disconnect(), auto=False)
+                    session.wait_sent()
                     session.local_close()
                 else:
-                    sequencer.record(step.session, K_TCP_ERROR,
-                                     note="disconnect on closed session")
+                    run.record(step.session, K_TCP_ERROR,
+                               note="disconnect on closed session")
             else:
-                if not session.connected:
+                if session.sock is None:
                     session.connect(auto=True)
-                session._send_packet(_step_packet(step), auto=False)
-            session.steps_done_seq = sequencer.last_seq
-        time.sleep(experiment.settle_ms / 1000)
+                session.send_packet(_step_packet(step), auto=False)
+            session.wait_sent()
+            if time.monotonic() - run.polled_at >= READ_INTERVAL_S:
+                run.poll(0.0)
+            session.steps_done_seq = len(run.events) - 1
+        settled_by = run.settle(experiment)
     finally:
-        for session in sessions.values():
-            session.local_close()
+        run.close()
 
-    events = tuple(sequencer.events)
+    events = tuple(run.events)
     aborted = any(
         s.step_send_failed or _closed_before(events, s)
         for s in sessions.values())
     outcome = OUTCOME_ABORTED_BY_PEER if aborted else OUTCOME_COMPLETED
     return Trace(experiment_name=experiment.name, endpoint=endpoint.label,
-                 started_at=started_at, events=events, outcome=outcome)
+                 started_at=started_at, events=events, outcome=outcome,
+                 settle_gap_ms=SETTLE_GAP_MS, settled_by=settled_by)
 
 
-def _closed_before(events: tuple[TraceEvent, ...], session: _SessionRun) -> bool:
+def _closed_before(events: tuple[TraceEvent, ...], session: _Session) -> bool:
     sid = session.decl.id
     # A peer close that follows our own scripted DISCONNECT is the normal
     # end of the conversation, not an abort.
@@ -651,13 +811,17 @@ def event_from_obj(obj: dict) -> TraceEvent:
 
 def trace_to_jsonl(trace: Trace) -> str:
     """One JSON object per line: header, events in seq order, outcome."""
-    lines = [json.dumps({"record": "trace-header",
-                         "experiment": trace.experiment_name,
-                         "endpoint": trace.endpoint,
-                         "started_at": trace.started_at})]
+    header = {"record": "trace-header", "experiment": trace.experiment_name,
+              "endpoint": trace.endpoint, "started_at": trace.started_at}
+    if trace.settle_gap_ms is not None:
+        header["settle_gap_ms"] = trace.settle_gap_ms
+    outcome = {"record": "trace-outcome", "outcome": trace.outcome,
+               "detail": trace.outcome_detail}
+    if trace.settled_by is not None:
+        outcome["settled_by"] = trace.settled_by
+    lines = [json.dumps(header)]
     lines.extend(json.dumps(event_to_obj(event)) for event in trace.events)
-    lines.append(json.dumps({"record": "trace-outcome", "outcome": trace.outcome,
-                             "detail": trace.outcome_detail}))
+    lines.append(json.dumps(outcome))
     return "\n".join(lines) + "\n"
 
 
@@ -683,4 +847,6 @@ def trace_from_jsonl(text: str) -> Trace:
     return Trace(experiment_name=header["experiment"], endpoint=header["endpoint"],
                  started_at=header["started_at"], events=tuple(events),
                  outcome=outcome["outcome"],
-                 outcome_detail=outcome.get("detail", ""))
+                 outcome_detail=outcome.get("detail", ""),
+                 settle_gap_ms=header.get("settle_gap_ms"),
+                 settled_by=outcome.get("settled_by"))

@@ -64,6 +64,32 @@ def test_reordered_delivery_detected():
     assert not result.aborted
 
 
+def test_reordered_delivery_evidence_is_every_delivery_seq():
+    import json
+    from mqttprobe.codec import Connack, Connect, Publish, Suback, Subscribe
+    from mqttprobe.experiment import parse_experiment
+    experiment = parse_experiment(json.dumps({
+        "name": "order", "sessions": [{"id": "f"}],
+        "steps": [{"action": "subscribe", "session": "f", "filter": "o/t",
+                   "qos": 1, "packet_id": 1}] + [
+            {"action": "publish", "session": "f", "topic": "o/t",
+             "payload": payload, "qos": 1, "packet_id": pid}
+            for pid, payload in ((2, "a"), (3, "b"), (4, "a"), (5, "c"))],
+    }))
+    entries = [("connected",), ("sent", Connect(client_id=b"f")),
+               ("recv", Connack(session_present=False, return_code=0)),
+               ("sent", Subscribe(1, ((b"o/t", 1),))),
+               ("recv", Suback(1, (1,)))]
+    entries += [("recv", Publish(topic=b"o/t", payload=payload, qos=1, packet_id=pid))
+                for pid, payload in ((3, b"b"), (2, b"a"), (5, b"c"), (4, b"a"))]
+    result = evaluate_trace(experiment, synthetic.build_trace("order", entries))
+    assert [a.code for a in result.anomalies] == [REORDERED_DELIVERY]
+    anomaly = result.anomalies[0]
+    assert anomaly.evidence == (5, 6, 7, 8)
+    assert anomaly.explanation == ("delivered order [b, a, c] differs from "
+                                   "publish order [a, b, c]")
+
+
 def test_conformant_flow_is_clean():
     for scenario in (QOS21, QOS20, DOUBLE, ORPHAN):
         codes, _ = _codes(scenario, "EMQX")

@@ -301,3 +301,147 @@ def test_trace_jsonl_round_trip_with_abort(endpoint):
     keepalive = corpus.corpus_by_name()["keepalive_as_string"]
     trace = run_experiment(keepalive, endpoint)
     assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
+
+
+# ---------------------------------------------------------------------------
+# One selector loop: backpressure, and a settle window that ends on quiet
+
+class OnePeer:
+    """Fake broker that hands its first MQTT connection to ``handle``.
+
+    Bare reachability probes (opened and closed with no bytes) are
+    skipped.  ``handle(conn, first_bytes)`` returns the peer's result.
+    """
+
+    def __init__(self, handle, rcvbuf=None):
+        self.listener = socket.socket()
+        if rcvbuf is not None:
+            # Accepted sockets inherit it: a small window makes the
+            # runner's sends block while the peer is not reading.
+            self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        self.listener.bind(("127.0.0.1", 0))
+        self.listener.listen(1)
+        self.port = self.listener.getsockname()[1]
+        self.result = None
+        self.thread = threading.Thread(target=self._serve, args=(handle,), daemon=True)
+        self.thread.start()
+
+    def _serve(self, handle):
+        try:
+            while True:
+                conn, _ = self.listener.accept()
+                with conn:
+                    conn.settimeout(10)
+                    first = conn.recv(4096)
+                    if first:
+                        self.result = handle(conn, first)
+                        return
+        finally:
+            self.listener.close()
+
+    def endpoint(self):
+        return Endpoint(host="127.0.0.1", port=self.port)
+
+
+def _read_to_eof(conn, first=b""):
+    total = len(first)
+    while True:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return total
+        total += len(chunk)
+
+
+def test_slow_reading_peer_does_not_fail_a_burst():
+    # 6 MiB outgrows the default 4 MiB ceiling of a Linux send buffer, so
+    # sends block while the peer sleeps; a stall shorter than
+    # io_timeout_ms must cost time, not the session.
+    def stall_then_drain(conn, first):
+        conn.sendall(encode_packet(Connack(session_present=False, return_code=0)))
+        time.sleep(1.0)
+        return _read_to_eof(conn, first)
+
+    peer = OnePeer(stall_then_drain, rcvbuf=16_384)
+    exp = _exp({
+        "name": "burst", "sessions": [{"id": "f"}], "settle_ms": 2000,
+        "steps": [{"action": "repeat", "session": "f", "count": 1536, "steps": [
+            {"action": "publish", "session": "f", "topic": "burst/t",
+             "payload": "p" * 4096}]}],
+    })
+    trace = run_experiment(exp, peer.endpoint())
+    peer.thread.join(10)
+    assert trace.outcome == OUTCOME_COMPLETED
+    assert not [e for e in trace.events if e.kind == runner.K_TCP_ERROR]
+    scripted = [e.raw for e in trace.events if e.kind == K_SENT and not e.auto]
+    want = encode_packet(Publish(topic=b"burst/t", payload=b"p" * 4096))
+    assert scripted == [want] * 1536
+    sent = sum(len(e.raw) for e in trace.events if e.kind == K_SENT)
+    assert peer.result == sent
+
+
+def test_settle_ends_on_quiet_once_replies_and_deliveries_arrive(endpoint):
+    exp = _exp({
+        "name": "quiet", "settle_ms": 5000,
+        "sessions": [{"id": "sub"}, {"id": "pub"}],
+        "steps": [
+            {"action": "subscribe", "session": "sub", "filter": "q/#",
+             "qos": 2, "packet_id": 1},
+            {"action": "publish", "session": "pub", "topic": "q/a",
+             "payload": "one", "qos": 1, "packet_id": 2},
+            {"action": "publish", "session": "pub", "topic": "q/b",
+             "payload": "two", "qos": 2, "packet_id": 3},
+            {"action": "pubrel", "session": "pub", "packet_id": 3},
+            {"action": "pingreq", "session": "sub"},
+        ],
+    })
+    started = time.monotonic()
+    trace = run_experiment(exp, endpoint)
+    assert time.monotonic() - started < 1.0
+    assert trace.settled_by == runner.SETTLED_QUIET
+    assert trace.settle_gap_ms == runner.SETTLE_GAP_MS
+    received = [type(e.packet).__name__ for e in trace.events if e.kind == K_RECEIVED]
+    assert received.count("Publish") == 2
+    for reply in ("Connack", "Suback", "Puback", "Pubrec", "Pubcomp", "Pingresp"):
+        assert reply in received, reply
+
+
+def test_settle_runs_to_cap_against_a_silent_peer():
+    peer = OnePeer(_read_to_eof)
+    exp = _exp({
+        "name": "silent", "sessions": [{"id": "f"}], "settle_ms": 400,
+        "steps": [{"action": "pingreq", "session": "f"}],
+    })
+    started = time.monotonic()
+    trace = run_experiment(exp, peer.endpoint())
+    assert time.monotonic() - started >= 0.4
+    assert trace.settled_by == runner.SETTLED_CAP
+    assert trace.outcome == OUTCOME_COMPLETED
+
+
+def test_settle_ends_at_once_when_the_peer_closes():
+    peer = OnePeer(lambda conn, first: None)
+    exp = _exp({
+        "name": "hangup", "sessions": [{"id": "f"}], "settle_ms": 5000,
+        "steps": [{"action": "connect", "session": "f"},
+                  {"action": "wait", "session": "f", "ms": 100}],
+    })
+    started = time.monotonic()
+    trace = run_experiment(exp, peer.endpoint())
+    assert time.monotonic() - started < 1.0
+    assert trace.settled_by == runner.SETTLED_CLOSED
+    assert any(e.kind == K_CLOSED_BY_PEER for e in trace.events)
+
+
+def test_trace_jsonl_without_settle_fields_still_loads():
+    text = "\n".join([
+        json.dumps({"record": "trace-header", "experiment": "old",
+                    "endpoint": "h:1883", "started_at": 1.0}),
+        json.dumps({"record": "event", "seq": 0, "t_ms": 0.5, "session": "f",
+                    "kind": "connected", "packet": None, "raw": None,
+                    "annotations": [], "auto": False, "note": "h:1883"}),
+        json.dumps({"record": "trace-outcome", "outcome": "completed", "detail": ""}),
+    ])
+    trace = trace_from_jsonl(text)
+    assert trace.settle_gap_ms is None and trace.settled_by is None
+    assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
+    assert "settled_by" not in trace_to_jsonl(trace)
