@@ -447,13 +447,15 @@ class _Body:
         return len(self.data) - self.pos
 
 
-def decode_packet(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> tuple[Packet, list[str], int]:
+def decode_packet(data: bytes | memoryview,
+                  mode: DecodeMode = DecodeMode.STRICT) -> tuple[Packet, list[str], int]:
     """Decode one frame from the start of ``data``.
 
     Returns (packet, annotations, consumed).  STRICT mode raises
     MalformedFrame whenever PERMISSIVE mode would have annotated;
     IncompleteFrame means the buffer ends mid-frame and more bytes may
-    complete it.
+    complete it.  Only the frame is copied, so a stream reader can pass
+    a memoryview of its buffer from an offset.
     """
     if not data:
         raise IncompleteFrame("empty buffer")
@@ -463,7 +465,7 @@ def decode_packet(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> tuple[Pa
         ptype = PacketType(type_value)
     except ValueError:
         raise MalformedFrame(f"reserved packet type {type_value}") from None
-    length, length_consumed = decode_remaining_length(data[1:])
+    length, length_consumed = decode_remaining_length(data[1:5])
     frame_length = 1 + length_consumed + length
     if len(data) < frame_length:
         raise IncompleteFrame(f"need {frame_length} bytes, have {len(data)}")
@@ -471,7 +473,7 @@ def decode_packet(data: bytes, mode: DecodeMode = DecodeMode.STRICT) -> tuple[Pa
     annotations: list[str] = []
     if length_consumed > len(encode_remaining_length(length)):
         annotations.append(A_LENGTH_NOT_MINIMAL)
-    body = _Body(data[1 + length_consumed:frame_length], frame_length)
+    body = _Body(bytes(data[1 + length_consumed:frame_length]), frame_length)
 
     if ptype == PacketType.PUBLISH:
         packet = _decode_publish(flags, body, annotations)
@@ -618,7 +620,7 @@ def splice(frame: bytes, at: int, remove: int, insert: bytes, fixup_length: bool
     if not patched:
         raise OutOfBounds("cannot fix up the length of an empty frame")
     try:
-        _, length_consumed = decode_remaining_length(patched[1:])
+        _, length_consumed = decode_remaining_length(patched[1:5])
     except CodecError as exc:
         raise OutOfBounds(f"cannot locate remaining length after splice: {exc}") from exc
     body = patched[1 + length_consumed:]

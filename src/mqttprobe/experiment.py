@@ -20,6 +20,7 @@ on them and the oracle judges by them.
 from __future__ import annotations
 
 import binascii
+import functools
 import json
 from dataclasses import dataclass, field, fields
 
@@ -221,6 +222,16 @@ class Experiment:
             if decl.id == session_id:
                 return decl
         raise KeyError(session_id)
+
+    # The runner's settle and the oracle both need these; computed once
+    # per instance (a frozen dataclass still has a __dict__ to cache in).
+    @functools.cached_property
+    def model(self) -> ScriptModel:
+        return model_script(self)
+
+    @functools.cached_property
+    def input_conformant(self) -> bool:
+        return scripted_input_conformant(self)
 
 
 def expand_steps(experiment: Experiment) -> list[Step]:

@@ -44,7 +44,7 @@ from .codec import (
     Pubrel,
     Suback,
 )
-from .experiment import Experiment, Identity, model_script, scripted_input_conformant
+from .experiment import Experiment, Identity, scripted_input_conformant  # noqa: F401 (re-export)
 from .runner import (
     K_CLOSED_BY_PEER,
     K_RECEIVED,
@@ -200,11 +200,11 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     if trace.experiment_name != experiment.name:
         raise TraceMismatchError(
             f"trace is for {trace.experiment_name!r}, not {experiment.name!r}")
-    model = model_script(experiment)
+    model = experiment.model
     delivery_events = _deliveries(trace, model.subscriber_sessions)
     delivered = [(e.packet.topic, e.packet.payload) for e in delivery_events]  # type: ignore[union-attr]
     closes = _closes(trace)
-    conformant = scripted_input_conformant(experiment)
+    conformant = experiment.input_conformant
     anomalies: list[Anomaly] = []
 
     ack_flow: list[tuple[str, int]] = []
@@ -216,21 +216,26 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     # R1: per-identity delivery counts against the conformant model.
     expected_counts = Counter(model.expected)
     suppressed_counts = Counter(model.suppressed)
-    observed_counts = Counter(delivered)
-    for identity in sorted(set(expected_counts) | set(observed_counts),
+    delivery_seqs: dict[Identity, list[int]] = {}
+    for event, identity in zip(delivery_events, delivered):
+        delivery_seqs.setdefault(identity, []).append(event.seq)
+    sent_seqs: dict[Identity, list[int]] = {}
+    for event in trace.events:
+        if event.kind == K_SENT and not event.auto and isinstance(event.packet, Publish):
+            sent_seqs.setdefault((event.packet.topic, event.packet.payload),
+                                 []).append(event.seq)
+    for identity in sorted(set(expected_counts) | set(delivery_seqs),
                            key=lambda i: (i[0], i[1])):
         want = expected_counts.get(identity, 0)
-        got = observed_counts.get(identity, 0)
+        got = len(delivery_seqs.get(identity, ()))
         label = _payload_text(identity[1])
         if got < want and identity not in model.qos0_identities:
-            evidence = _sent_publish_seqs(trace, identity)
             anomalies.append(make_anomaly(
-                LOST_MESSAGE, evidence,
+                LOST_MESSAGE, tuple(sent_seqs.get(identity, (0,))),
                 f"payload {label} was published {want} time(s) with qos>0 "
                 f"but delivered {got} time(s)"))
         elif got > want:
-            excess_seqs = tuple(e.seq for e in delivery_events
-                                if (e.packet.topic, e.packet.payload) == identity)[want:]  # type: ignore[union-attr]
+            excess_seqs = tuple(delivery_seqs[identity][want:])
             if suppressed_counts.get(identity, 0) > 0:
                 anomalies.append(make_anomaly(
                     ID_REUSE_MISHANDLED, excess_seqs,
@@ -247,7 +252,7 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     observed_first = list(dict.fromkeys(
         identity for identity in delivered if identity in expected_counts))
     expected_first = list(dict.fromkeys(
-        identity for identity in model.expected if identity in observed_counts))
+        identity for identity in model.expected if identity in delivery_seqs))
     if observed_first != expected_first:
         evidence = tuple(e.seq for e in delivery_events)
         order = ", ".join(_payload_text(p) for _, p in observed_first)
@@ -350,14 +355,6 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
         ack_flow=tuple(ack_flow),
         anomalies=tuple(anomalies),
         aborted=trace.outcome != OUTCOME_COMPLETED)
-
-
-def _sent_publish_seqs(trace: Trace, identity: Identity) -> tuple[int, ...]:
-    seqs = tuple(e.seq for e in trace.events
-                 if e.kind == K_SENT and not e.auto
-                 and isinstance(e.packet, Publish)
-                 and (e.packet.topic, e.packet.payload) == identity)
-    return seqs or (0,)
 
 
 # --- fingerprints ----------------------------------------------------------

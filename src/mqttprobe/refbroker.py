@@ -2,8 +2,20 @@
 
 The broker exists as a known-good baseline: experiments executed
 against it must come out anomaly-free, so its QoS semantics are the
-conformance argument.  Routing decisions all pass through one Router
-guarded by a single lock, giving every delivery a total order.
+conformance argument.
+
+One thread runs one selector loop over the listener and every
+connection, and all routing passes through one single-threaded Router
+called from that loop, giving every delivery a total order.  What the
+Router sends is appended to the target connection's outbound buffer,
+which drains whenever its socket is writable, so routing never waits
+on a peer.  Memory is bounded by backpressure, not by dropping
+subscribers that are behind: once a queued frame takes an outbound
+buffer above HIGH_WATER, the loop stops reading from the connection
+that produced it until that buffer drains to the mark or its
+connection closes.  A connection whose pending output makes no progress for
+SEND_DEADLINE_S is closed as a slow consumer, so a client that never
+reads cannot hold up anyone else for longer than that.
 
 Scope: clean sessions only, no retained messages, no will delivery, no
 keep-alive eviction, no auth.  A protocol violation on a connection
@@ -17,10 +29,13 @@ packet interleavings against the real routing logic without sockets.
 
 from __future__ import annotations
 
+import json
 import logging
+import selectors
 import socket
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import codec, topics
@@ -51,6 +66,21 @@ RETURN_CODE_BAD_PROTOCOL = 1
 # server accept a client id it cannot read as text.  Everything else
 # annotated by permissive decoding closes the connection.
 TOLERATED_ANNOTATIONS = frozenset({codec.A_CLIENT_ID_NOT_UTF8})
+
+# Outbound bytes a connection may hold before the loop stops reading
+# from the connections that send to it.
+HIGH_WATER = 1 << 20
+# Pending output that moves no byte for this long closes its connection.
+SEND_DEADLINE_S = 5.0
+RECV_BYTES = 65536
+
+# Why a connection ended, as counted by RefBroker.stats().  The first
+# seven are the broker's own verdicts and a peer hang-up; ``disconnect``
+# is a client DISCONNECT, ``refused`` a CONNACK refusal, ``error`` a
+# broker fault confined to one connection, ``stopped`` the broker's stop.
+CLOSE_REASONS = ("malformed", "annotations", "violation", "first-packet-not-connect",
+                 "peer", "slow-consumer", "evicted", "disconnect", "refused", "error",
+                 "stopped")
 
 
 class BrokerBindError(OSError):
@@ -99,10 +129,13 @@ class HandleResult:
 
 
 class Router:
-    """Session registry and routing core; serialize calls per instance."""
+    """Session registry and routing core.
+
+    Not thread-safe: the broker calls it from its loop thread only, and
+    tests and the benchmark drive it directly.
+    """
 
     def __init__(self) -> None:
-        self.lock = threading.Lock()
         self._sessions: dict[object, _Session] = {}
         self._by_client_id: dict[bytes, object] = {}
 
@@ -238,139 +271,66 @@ class Router:
         return sends
 
 
-class _ConnHandler(threading.Thread):
-    def __init__(self, broker: RefBroker, conn: socket.socket, peer: str):
-        super().__init__(name=f"refbroker-conn-{peer}", daemon=True)
-        self.broker = broker
-        self.conn = conn
+class _Conn:
+    """One accepted connection: its socket, buffers and flow state."""
+
+    def __init__(self, sock: socket.socket, peer: str):
+        self.sock = sock
         self.peer = peer
-        self.send_lock = threading.Lock()
-        self.closing = False
-
-    def send_packet(self, packet: Packet) -> bool:
-        try:
-            frame = codec.encode_packet(packet)
-        except codec.CodecError:
-            log.error("event=encode-failure peer=%s packet=%r", self.peer, packet)
-            return False
-        # Bounded retry instead of sendall: a peer that stops draining
-        # must not wedge the router, only lose its own connection.
-        deadline = time.monotonic() + 5.0
-        view = memoryview(frame)
-        with self.send_lock:
-            while view:
-                if self.closing or time.monotonic() > deadline:
-                    return False
-                try:
-                    sent = self.conn.send(view)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return False
-                view = view[sent:]
-        return True
-
-    def close(self) -> None:
-        self.closing = True
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-    def run(self) -> None:
-        try:
-            self._serve()
-        except Exception:
-            log.exception("event=handler-crash peer=%s", self.peer)
-        finally:
-            with self.broker.router.lock:
-                self.broker.router.detach(self)
-            self.broker._forget(self)
-            self.close()
-
-    def _serve(self) -> None:
-        self.conn.settimeout(0.2)
-        buffer = b""
-        connected = False
-        while not self.broker.stopped and not self.closing:
-            try:
-                chunk = self.conn.recv(65536)
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            if not chunk:
-                log.debug("event=peer-closed peer=%s", self.peer)
-                return
-            buffer += chunk
-            while True:
-                try:
-                    packet, annotations, consumed = codec.decode_packet(
-                        buffer, codec.DecodeMode.PERMISSIVE)
-                except codec.IncompleteFrame:
-                    break
-                except codec.MalformedFrame as exc:
-                    log.info("event=close peer=%s reason=malformed detail=%s",
-                             self.peer, exc.reason)
-                    return
-                buffer = buffer[consumed:]
-                fatal = [a for a in annotations if a not in TOLERATED_ANNOTATIONS]
-                if fatal:
-                    log.info("event=close peer=%s reason=annotations detail=%s",
-                             self.peer, ",".join(fatal))
-                    return
-                if not connected and not isinstance(packet, Connect):
-                    log.info("event=close peer=%s reason=first-packet-not-connect",
-                             self.peer)
-                    return
-                if not self._dispatch(packet, connected):
-                    return
-                if isinstance(packet, Connect):
-                    connected = True
-
-    def _dispatch(self, packet: Packet, connected: bool) -> bool:
-        """Run one packet through the router; False closes the connection."""
-        router = self.broker.router
-        try:
-            with router.lock:
-                if isinstance(packet, Connect) and not connected:
-                    result = router.connect(self, packet)
-                    log.info("event=connect peer=%s client_id=%s",
-                             self.peer, packet.client_id.hex())
-                else:
-                    result = router.handle(self, packet)
-                for target, out in result.sends:
-                    assert isinstance(target, _ConnHandler)
-                    if not target.send_packet(out):
-                        target.close()
-        except ProtocolViolation as exc:
-            log.info("event=close peer=%s reason=violation detail=%s",
-                     self.peer, exc.reason)
-            return False
-        if result.evicted is not None and isinstance(result.evicted, _ConnHandler):
-            log.info("event=evict peer=%s", result.evicted.peer)
-            result.evicted.close()
-        return not result.close
+        self.inbuf = b""            # read but not yet dispatched
+        self.out = bytearray()      # encoded, not yet taken by the socket
+        self.progress_at = 0.0      # when ``out`` last filled from empty or drained
+        self.connected = False
+        self.closed = False
+        self.blocked_on: _Conn | None = None  # reading paused until it drains
+        self.waiters: list[_Conn] = []        # connections paused on this one
+        self.events = 0                       # selector events registered
 
 
 class RefBroker:
-    """TCP front end around a Router; start() binds, stop() tears down."""
+    """TCP front end around a Router; start() binds, stop() tears down.
+
+    Everything after start() runs on one loop thread; stats() may be
+    read from any thread.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.host = host
         self.requested_port = port
         self.router = Router()
         self.stopped = False
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._handlers: set[_ConnHandler] = set()
-        self._handlers_lock = threading.Lock()
+        self._port: int | None = None
+        self._thread: threading.Thread | None = None
+        self._wake: socket.socket | None = None
+        self._selector: selectors.BaseSelector | None = None
+        self._conns: set[_Conn] = set()
+        self._dirty: set[_Conn] = set()    # output appended since the last flush
+        self._ready: list[_Conn] = []      # unpaused, buffered frames to dispatch
+        self._now = 0.0
+        self._accepted = 0
+        self._frames_in: Counter[str] = Counter()
+        self._frames_out = 0
+        self._routed = 0
+        self._closes = dict.fromkeys(CLOSE_REASONS, 0)
 
     @property
     def port(self) -> int:
-        if self._listener is None:
+        if self._port is None:
             raise RuntimeError("broker not started")
-        return self._listener.getsockname()[1]
+        return self._port
+
+    def stats(self) -> dict:
+        """Counters since start().
+
+        accepted connections, frames_in by packet type, frames_out
+        queued for sending, routed deliveries (PUBLISH frames queued to
+        subscribers) and closes by reason (CLOSE_REASONS).
+        """
+        return {"accepted": self._accepted,
+                "frames_in": dict(self._frames_in),
+                "frames_out": self._frames_out,
+                "routed": self._routed,
+                "closes": dict(self._closes)}
 
     def start(self) -> RefBroker:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -382,48 +342,33 @@ class RefBroker:
             raise BrokerBindError(
                 f"cannot bind {self.host}:{self.requested_port}: {exc}") from exc
         listener.listen(64)
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._accept_thread = threading.Thread(target=self._accept_loop,
-                                               name="refbroker-accept", daemon=True)
-        self._accept_thread.start()
+        listener.setblocking(False)
+        self._port = listener.getsockname()[1]
+        wake, self._wake = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ)
+        self._selector.register(wake, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._loop, args=(listener, wake),
+                                        name="refbroker-loop", daemon=True)
+        self._thread.start()
         log.info("event=listening host=%s port=%d", self.host, self.port)
         return self
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self.stopped:
-            try:
-                conn, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            handler = _ConnHandler(self, conn, f"{addr[0]}:{addr[1]}")
-            with self._handlers_lock:
-                self._handlers.add(handler)
-            handler.start()
-
-    def _forget(self, handler: _ConnHandler) -> None:
-        with self._handlers_lock:
-            self._handlers.discard(handler)
-
     def stop(self) -> None:
+        if self.stopped:
+            return
         self.stopped = True
-        if self._listener is not None:
+        if self._thread is not None:
+            assert self._wake is not None
             try:
-                self._listener.close()
+                self._wake.send(b"\0")
             except OSError:
-                pass
-        with self._handlers_lock:
-            handlers = list(self._handlers)
-        for handler in handlers:
-            handler.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        for handler in handlers:
-            handler.join(timeout=5)
+                pass  # the loop already ended
+            self._thread.join(timeout=5)
+            if self._thread.is_alive():
+                log.error("event=stop-timeout")
+            self._wake.close()
+        log.info("event=stats %s", json.dumps(self.stats(), sort_keys=True))
         log.info("event=stopped")
 
     def __enter__(self) -> RefBroker:
@@ -431,6 +376,218 @@ class RefBroker:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
+
+    # --- the loop thread ----------------------------------------------------
+
+    def _loop(self, listener: socket.socket, wake: socket.socket) -> None:
+        assert self._selector is not None
+        try:
+            while True:
+                events = self._selector.select(self._timeout())
+                self._now = time.monotonic()
+                for key, mask in events:
+                    if key.fileobj is wake:
+                        return
+                    if key.fileobj is listener:
+                        self._accept(listener)
+                        continue
+                    conn = key.data
+                    if mask & selectors.EVENT_WRITE and not conn.closed:
+                        self._flush(conn)
+                    if (mask & selectors.EVENT_READ and not conn.closed
+                            and conn.blocked_on is None):
+                        self._read(conn)
+                for conn in [c for c in self._conns if c.out
+                             and self._now - c.progress_at >= SEND_DEADLINE_S]:
+                    self._close(conn, "slow-consumer", f"{len(conn.out)} bytes unsent")
+                self._settle()
+        except Exception:
+            log.exception("event=loop-crash")
+        finally:
+            for conn in list(self._conns):
+                self._close(conn, "stopped")
+            self._selector.close()
+            listener.close()
+            wake.close()
+
+    def _timeout(self) -> float | None:
+        """Seconds until the earliest slow-consumer deadline; None if no output is pending."""
+        pending = [c.progress_at for c in self._conns if c.out]
+        if not pending:
+            return None
+        return max(0.0, min(pending) + SEND_DEADLINE_S - time.monotonic())
+
+    def _settle(self) -> None:
+        """Flush new output and dispatch frames of unpaused connections until neither is left."""
+        while self._dirty or self._ready:
+            ready, self._ready = self._ready, []
+            for conn in ready:
+                if not conn.closed:
+                    conn.blocked_on = None
+                    self._dispatch_buffered(conn)
+            dirty, self._dirty = self._dirty, set()
+            for conn in dirty:
+                if not conn.closed:
+                    self._flush(conn)
+
+    def _watch(self, conn: _Conn) -> None:
+        """Register the events the connection waits for: input unless paused, output if pending."""
+        assert self._selector is not None
+        events = ((selectors.EVENT_READ if conn.blocked_on is None else 0)
+                  | (selectors.EVENT_WRITE if conn.out else 0))
+        if events == conn.events:
+            return
+        if not conn.events:
+            self._selector.register(conn.sock, events, conn)
+        elif not events:
+            self._selector.unregister(conn.sock)
+        else:
+            self._selector.modify(conn.sock, events, conn)
+        conn.events = events
+
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, addr = listener.accept()
+            except BlockingIOError:
+                return
+            except OSError as exc:
+                log.warning("event=accept-failed detail=%s", exc)
+                return
+            sock.setblocking(False)
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:
+                pass  # a peer that already reset is seen on the first read
+            conn = _Conn(sock, f"{addr[0]}:{addr[1]}")
+            self._conns.add(conn)
+            self._accepted += 1
+            self._watch(conn)
+
+    def _read(self, conn: _Conn) -> None:
+        try:
+            chunk = conn.sock.recv(RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            self._close(conn, "peer", str(exc))
+            return
+        if not chunk:
+            self._close(conn, "peer")
+            return
+        conn.inbuf = conn.inbuf + chunk if conn.inbuf else chunk
+        self._dispatch_buffered(conn)
+
+    def _flush(self, conn: _Conn) -> None:
+        if conn.out:
+            try:
+                sent = conn.sock.send(conn.out)
+            except BlockingIOError:
+                sent = 0
+            except OSError as exc:
+                self._close(conn, "peer", str(exc))
+                return
+            if sent:
+                del conn.out[:sent]
+                conn.progress_at = self._now
+        if conn.waiters and len(conn.out) <= HIGH_WATER:
+            self._ready += conn.waiters
+            conn.waiters = []
+        self._watch(conn)
+
+    def _dispatch_buffered(self, conn: _Conn) -> None:
+        """Dispatch whole buffered frames until none is left or the connection pauses."""
+        view = memoryview(conn.inbuf)
+        pos = 0
+        while conn.blocked_on is None:
+            try:
+                packet, annotations, consumed = codec.decode_packet(
+                    view[pos:], codec.DecodeMode.PERMISSIVE)
+            except codec.IncompleteFrame:
+                break
+            except codec.MalformedFrame as exc:
+                self._close(conn, "malformed", exc.reason)
+                return
+            pos += consumed
+            self._frames_in[type(packet).__name__.lower()] += 1
+            fatal = [a for a in annotations if a not in TOLERATED_ANNOTATIONS]
+            if fatal:
+                self._close(conn, "annotations", ",".join(fatal))
+            elif not conn.connected and not isinstance(packet, Connect):
+                self._close(conn, "first-packet-not-connect")
+            else:
+                self._dispatch(conn, packet)
+            if conn.closed:
+                return
+        conn.inbuf = conn.inbuf[pos:]
+        self._watch(conn)
+
+    def _dispatch(self, conn: _Conn, packet: Packet) -> None:
+        """Run one packet through the router and queue what it sends."""
+        try:
+            if conn.connected:
+                result = self.router.handle(conn, packet)
+            else:
+                result = self.router.connect(conn, packet)  # type: ignore[arg-type]
+                conn.connected = True
+                log.info("event=connect peer=%s client_id=%s",
+                         conn.peer, packet.client_id.hex())
+            for target, out in result.sends:
+                assert isinstance(target, _Conn)
+                self._queue(conn, target, out)
+        except ProtocolViolation as exc:
+            self._close(conn, "violation", exc.reason)
+            return
+        except Exception:
+            # A broker fault costs the connection that hit it, not the loop.
+            log.exception("event=dispatch-crash peer=%s", conn.peer)
+            self._close(conn, "error")
+            return
+        if isinstance(result.evicted, _Conn):
+            self._close(result.evicted, "evicted")
+        if result.close:
+            self._close(conn, "disconnect" if isinstance(packet, Disconnect) else "refused")
+
+    def _queue(self, source: _Conn, target: _Conn, packet: Packet) -> None:
+        """Append a frame to the target's output; pause ``source`` above HIGH_WATER."""
+        if target.closed:
+            return
+        if not target.out:
+            target.progress_at = self._now
+        target.out += codec.encode_packet(packet)
+        self._frames_out += 1
+        if isinstance(packet, Publish):
+            self._routed += 1
+        self._dirty.add(target)
+        if len(target.out) > HIGH_WATER and source.blocked_on is None:
+            source.blocked_on = target
+            target.waiters.append(source)
+
+    def _close(self, conn: _Conn, reason: str, detail: str = "") -> None:
+        """The one way a connection ends: count it, detach it, send what fits, close."""
+        if conn.closed:
+            return
+        conn.closed = True
+        self._closes[reason] += 1
+        log.log(logging.DEBUG if reason in ("peer", "stopped") else logging.INFO,
+                "event=close peer=%s reason=%s detail=%s", conn.peer, reason, detail)
+        self.router.detach(conn)
+        if conn.out:
+            try:
+                conn.sock.send(conn.out)
+            except OSError:
+                pass
+        # Free the buffers now: a connection paused on itself is a cycle.
+        conn.out = bytearray()
+        conn.inbuf = b""
+        conn.blocked_on = None
+        if conn.events:
+            assert self._selector is not None
+            self._selector.unregister(conn.sock)
+        conn.sock.close()
+        self._conns.discard(conn)
+        self._ready += conn.waiters
+        conn.waiters = []
 
 
 def serve(host: str = "127.0.0.1", port: int = 0) -> RefBroker:

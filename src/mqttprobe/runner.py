@@ -84,8 +84,6 @@ from .experiment import (
     UnsubscribeStep,
     WaitStep,
     expand_steps,
-    model_script,
-    scripted_input_conformant,
 )
 
 K_SENT = "sent"
@@ -267,8 +265,8 @@ class _Run:
 
     def settle(self, experiment: Experiment) -> str:
         """Listen for at most ``settle_ms`` after the last step; say what ended it."""
-        conformant = scripted_input_conformant(experiment)
-        model = model_script(experiment)
+        conformant = experiment.input_conformant
+        model = experiment.model
         missing = Counter(model.expected)
         owed = sum(missing.values())
         subscribers = [self.sessions[sid] for sid in model.subscriber_sessions]

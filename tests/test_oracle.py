@@ -323,3 +323,46 @@ def test_summary_reflects_outcome():
     assert len(summary.delivered) == 2
     assert summary.anomalies == ()
     assert summary.aborted is False
+
+
+def test_r1_scales_linearly_with_misdelivered_identities():
+    import json
+    import time
+    from mqttprobe.codec import Publish, Suback, Subscribe
+    from mqttprobe.experiment import parse_experiment
+    doubled, lost = 4000, 10
+    payloads = [f"m{i}" for i in range(doubled + lost)]
+    experiment = parse_experiment(json.dumps({
+        "name": "misdelivered", "sessions": [{"id": "f"}],
+        "steps": [{"action": "subscribe", "session": "f", "filter": "d/t",
+                   "qos": 1, "packet_id": 1}] + [
+            {"action": "publish", "session": "f", "topic": "d/t",
+             "payload": payload, "qos": 1, "packet_id": i + 2}
+            for i, payload in enumerate(payloads)],
+    }))
+    entries = synthetic._prologue() + [("sent", Subscribe(1, ((b"d/t", 1),))),
+                                       ("recv", Suback(1, (1,)))]
+    sent_seq, excess_seq = {}, {}
+    for i, payload in enumerate(p.encode() for p in payloads):
+        sent_seq[payload] = len(entries)
+        entries.append(("sent", Publish(topic=b"d/t", payload=payload, qos=1,
+                                        packet_id=i + 2)))
+        if i < doubled:
+            entries.append(("recv", Publish(topic=b"d/t", payload=payload, qos=1,
+                                            packet_id=2 * i + 1)))
+            excess_seq[payload] = len(entries)
+            entries.append(("recv", Publish(topic=b"d/t", payload=payload, qos=1,
+                                            packet_id=2 * i + 2)))
+    trace = synthetic.build_trace("misdelivered", entries)
+    started = time.perf_counter()
+    result = evaluate_trace(experiment, trace)
+    elapsed = time.perf_counter() - started
+    by_code = {}
+    for anomaly in result.anomalies:
+        by_code.setdefault(anomaly.code, []).append(anomaly)
+    assert sorted(by_code) == [DUPLICATE_DELIVERY, LOST_MESSAGE]
+    assert sorted(a.evidence for a in by_code[DUPLICATE_DELIVERY]) == sorted(
+        (seq,) for seq in excess_seq.values())
+    assert sorted(a.evidence for a in by_code[LOST_MESSAGE]) == sorted(
+        (sent_seq[p.encode()],) for p in payloads[doubled:])
+    assert elapsed < 0.5, f"evaluate_trace took {elapsed:.2f}s"

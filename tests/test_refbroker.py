@@ -1,6 +1,8 @@
 """Reference broker: routing rules (in process) and transport behavior."""
 
 import socket
+import statistics
+import threading
 import time
 
 import pytest
@@ -10,6 +12,7 @@ from mqttprobe.codec import (
     Connack,
     Connect,
     DecodeMode,
+    Disconnect,
     IncompleteFrame,
     MalformedFrame,
     Pingreq,
@@ -27,6 +30,7 @@ from mqttprobe.codec import (
     encode_packet,
 )
 from mqttprobe.refbroker import Router
+from mqttprobe.runner import Endpoint, probe_liveness
 
 # ---------------------------------------------------------------------------
 # Router driven directly (no sockets)
@@ -334,3 +338,173 @@ def test_broker_port_is_ephemeral_and_reported():
 def test_bind_conflict_raises(broker):
     with pytest.raises(refbroker.BrokerBindError):
         refbroker.serve(host="127.0.0.1", port=broker.port)
+
+
+# ---------------------------------------------------------------------------
+# A client that stops reading, backpressure, and stats()
+
+
+class _StallClient(threading.Thread):
+    """Subscribes to its own topic and publishes to it, never reading.
+
+    Stops at ``stop`` or once the broker closes the connection; ``blocked``
+    is set when a send first times out, i.e. the broker stopped reading.
+    """
+
+    def __init__(self, port):
+        super().__init__(daemon=True)
+        self.client = MiniClient(port)
+        self.client.send(Connect(client_id=b"stall"))
+        assert isinstance(self.client.recv_packet(), Connack)
+        self.client.send(Subscribe(packet_id=1, entries=((b"stall/t", 0),)))
+        assert isinstance(self.client.recv_packet(), Suback)
+        self.frame = encode_packet(Publish(topic=b"stall/t", payload=b"x" * 1024))
+        self.blocked = threading.Event()
+        self.stop = threading.Event()
+        self.closed_by_broker = threading.Event()
+
+    def run(self):
+        sock = self.client.sock
+        sock.settimeout(0.05)
+        try:
+            while not self.stop.is_set():
+                view = memoryview(self.frame)
+                while view and not self.stop.is_set():
+                    try:
+                        view = view[sock.send(view):]
+                    except socket.timeout:
+                        self.blocked.set()
+        except OSError:
+            self.closed_by_broker.set()
+        finally:
+            self.client.close()
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+def test_client_that_never_reads_does_not_stall_others(broker):
+    stall = _StallClient(broker.port)
+    stall.start()
+    try:
+        assert stall.blocked.wait(3), "the stall client's sends never blocked"
+        endpoint = Endpoint(host="127.0.0.1", port=broker.port)
+        latencies = []
+        for _ in range(20):
+            started = time.monotonic()
+            live = probe_liveness(endpoint)
+            latencies.append(time.monotonic() - started)
+            assert live.alive, live.detail
+            time.sleep(0.1)
+        assert statistics.median(latencies) < 0.05, latencies
+        assert max(latencies) < 1.0, latencies
+        assert not stall.closed_by_broker.is_set()
+    finally:
+        stall.stop.set()
+        stall.join(timeout=10)
+    assert not stall.is_alive()
+
+
+def test_client_that_never_reads_is_closed_as_slow_consumer(broker, monkeypatch):
+    monkeypatch.setattr(refbroker, "SEND_DEADLINE_S", 0.5)
+    stall = _StallClient(broker.port)
+    stall.start()
+    try:
+        assert stall.closed_by_broker.wait(5), "broker never closed the stalled client"
+    finally:
+        stall.stop.set()
+        stall.join(timeout=10)
+    assert not stall.is_alive()
+    assert _wait_for(lambda: broker.stats()["closes"]["slow-consumer"] == 1)
+
+
+def test_paused_subscriber_gets_every_publish_after_backpressure(broker, monkeypatch):
+    # A small mark so the flood reaches it once the kernel buffers are full.
+    monkeypatch.setattr(refbroker, "HIGH_WATER", 64 * 1024)
+    count, payload_size = 8000, 2048
+    sub = MiniClient(broker.port)
+    sub.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+    sub.send(Connect(client_id=b"slow-sub"))
+    sub.recv_packet()
+    sub.send(Subscribe(packet_id=1, entries=((b"flood", 1),)))
+    sub.recv_packet()
+    pub = MiniClient(broker.port)
+    pub.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 64 * 1024)
+    pub.send(Connect(client_id=b"flooder"))
+    pub.recv_packet()
+    flood = b"".join(encode_packet(Publish(topic=b"flood",
+                                           payload=i.to_bytes(4, "big") * (payload_size // 4)))
+                     for i in range(count))
+    sender = threading.Thread(target=pub.send_raw, args=(flood,), daemon=True)
+    try:
+        sender.start()
+        time.sleep(1.0)  # the subscriber does not read for a second
+        assert sender.is_alive(), "the flood never met backpressure"
+        got = [sub.recv_packet().payload[:4] for _ in range(count)]
+        sender.join(timeout=10)
+        assert not sender.is_alive()
+    finally:
+        sub.close()
+        pub.close()
+    assert got == [i.to_bytes(4, "big") for i in range(count)]
+    assert broker.stats()["closes"]["slow-consumer"] == 0
+
+
+def test_stats_count_a_scripted_session():
+    with refbroker.serve(host="127.0.0.1", port=0) as srv:
+        sub = MiniClient(srv.port)
+        sub.send(Connect(client_id=b"sub"))
+        sub.recv_packet()
+        sub.send(Subscribe(packet_id=1, entries=((b"t", 2),)))
+        sub.recv_packet()
+        pub = MiniClient(srv.port)
+        pub.send(Connect(client_id=b"pub"))
+        pub.recv_packet()
+        pub.send(Publish(topic=b"t", payload=b"0"))
+        pub.send(Publish(topic=b"t", payload=b"1", qos=1, packet_id=1))
+        assert pub.recv_packet() == Puback(packet_id=1)
+        pub.send(Publish(topic=b"t", payload=b"2", qos=2, packet_id=2))
+        assert pub.recv_packet() == Pubrec(packet_id=2)
+        pub.send(Pubrel(packet_id=2))
+        assert pub.recv_packet() == Pubcomp(packet_id=2)
+        pub.send(Pingreq())
+        assert pub.recv_packet() == Pingresp()
+        assert [sub.recv_packet().payload for _ in range(3)] == [b"0", b"1", b"2"]
+        pub.send(Disconnect())
+        pub.expect_close()
+
+        garbage = MiniClient(srv.port)
+        garbage.send_raw(b"\x00garbage")
+        garbage.expect_close()
+        early = MiniClient(srv.port)
+        early.send(Pingreq())
+        early.expect_close()
+        bad = MiniClient(srv.port)
+        bad.send(Connect(client_id=b"bad"))
+        bad.recv_packet()
+        bad.send(Subscribe(packet_id=1, entries=((b"a/#/b", 0),)))
+        bad.expect_close()
+        taken = MiniClient(srv.port)
+        taken.send(Connect(client_id=b"sub"))
+        taken.recv_packet()
+        sub.expect_close()
+        taken.close()
+        assert _wait_for(lambda: srv.stats()["closes"]["peer"] == 1)
+        for client in (sub, pub, garbage, early, bad):
+            client.close()
+    stats = srv.stats()
+    assert stats["accepted"] == 6
+    assert stats["frames_in"] == {"connect": 4, "subscribe": 2, "publish": 3,
+                                  "pubrel": 1, "pingreq": 2, "disconnect": 1}
+    assert stats["routed"] == 3
+    # CONNACK x4, SUBACK, 3 deliveries, PUBACK, PUBREC, PUBCOMP, PINGRESP
+    assert stats["frames_out"] == 12
+    assert stats["closes"] == dict.fromkeys(refbroker.CLOSE_REASONS, 0) | {
+        "malformed": 1, "first-packet-not-connect": 1, "violation": 1,
+        "disconnect": 1, "evicted": 1, "peer": 1}
