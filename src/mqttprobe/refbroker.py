@@ -10,10 +10,11 @@ called from that loop, giving every delivery a total order.  What the
 Router sends is appended to the target connection's outbound buffer,
 which drains whenever its socket is writable, so routing never waits
 on a peer.  Memory is bounded by backpressure, not by dropping
-subscribers that are behind: once a queued frame takes an outbound
-buffer above HIGH_WATER, the loop stops reading from the connection
-that produced it until that buffer drains to the mark or its
-connection closes.  A connection whose pending output makes no progress for
+subscribers that are behind: the loop stops reading from a connection
+whose frame left any outbound buffer above HIGH_WATER, until every such
+buffer drains to the mark or its connection closes.  So an outbound
+buffer holds at most HIGH_WATER plus one frame from each connection
+sending to it.  A connection whose pending output makes no progress for
 SEND_DEADLINE_S is closed as a slow consumer, so a client that never
 reads cannot hold up anyone else for longer than that.
 
@@ -282,8 +283,9 @@ class _Conn:
         self.progress_at = 0.0      # when ``out`` last filled from empty or drained
         self.connected = False
         self.closed = False
-        self.blocked_on: _Conn | None = None  # reading paused until it drains
-        self.waiters: list[_Conn] = []        # connections paused on this one
+        # Reading is paused while any of these is above HIGH_WATER.
+        self.blocked_on: dict[_Conn, None] = {}
+        self.waiters: dict[_Conn, None] = {}  # connections paused on this one
         self.events = 0                       # selector events registered
 
 
@@ -305,6 +307,8 @@ class RefBroker:
         self._selector: selectors.BaseSelector | None = None
         self._conns: set[_Conn] = set()
         self._dirty: set[_Conn] = set()    # output appended since the last flush
+        # Connections with pending output, oldest progress first.
+        self._pending: dict[_Conn, None] = {}
         self._ready: list[_Conn] = []      # unpaused, buffered frames to dispatch
         self._now = 0.0
         self._accepted = 0
@@ -395,10 +399,12 @@ class RefBroker:
                     if mask & selectors.EVENT_WRITE and not conn.closed:
                         self._flush(conn)
                     if (mask & selectors.EVENT_READ and not conn.closed
-                            and conn.blocked_on is None):
+                            and not conn.blocked_on):
                         self._read(conn)
-                for conn in [c for c in self._conns if c.out
-                             and self._now - c.progress_at >= SEND_DEADLINE_S]:
+                while self._pending:
+                    conn = next(iter(self._pending))
+                    if self._now - conn.progress_at < SEND_DEADLINE_S:
+                        break
                     self._close(conn, "slow-consumer", f"{len(conn.out)} bytes unsent")
                 self._settle()
         except Exception:
@@ -412,18 +418,17 @@ class RefBroker:
 
     def _timeout(self) -> float | None:
         """Seconds until the earliest slow-consumer deadline; None if no output is pending."""
-        pending = [c.progress_at for c in self._conns if c.out]
-        if not pending:
+        if not self._pending:
             return None
-        return max(0.0, min(pending) + SEND_DEADLINE_S - time.monotonic())
+        oldest = next(iter(self._pending))
+        return max(0.0, oldest.progress_at + SEND_DEADLINE_S - time.monotonic())
 
     def _settle(self) -> None:
         """Flush new output and dispatch frames of unpaused connections until neither is left."""
         while self._dirty or self._ready:
             ready, self._ready = self._ready, []
             for conn in ready:
-                if not conn.closed:
-                    conn.blocked_on = None
+                if not conn.closed and not conn.blocked_on:
                     self._dispatch_buffered(conn)
             dirty, self._dirty = self._dirty, set()
             for conn in dirty:
@@ -433,7 +438,7 @@ class RefBroker:
     def _watch(self, conn: _Conn) -> None:
         """Register the events the connection waits for: input unless paused, output if pending."""
         assert self._selector is not None
-        events = ((selectors.EVENT_READ if conn.blocked_on is None else 0)
+        events = ((selectors.EVENT_READ if not conn.blocked_on else 0)
                   | (selectors.EVENT_WRITE if conn.out else 0))
         if events == conn.events:
             return
@@ -490,16 +495,18 @@ class RefBroker:
             if sent:
                 del conn.out[:sent]
                 conn.progress_at = self._now
+                del self._pending[conn]
+                if conn.out:
+                    self._pending[conn] = None  # now the latest progress
         if conn.waiters and len(conn.out) <= HIGH_WATER:
-            self._ready += conn.waiters
-            conn.waiters = []
+            self._release(conn)
         self._watch(conn)
 
     def _dispatch_buffered(self, conn: _Conn) -> None:
         """Dispatch whole buffered frames until none is left or the connection pauses."""
         view = memoryview(conn.inbuf)
         pos = 0
-        while conn.blocked_on is None:
+        while not conn.blocked_on:
             try:
                 packet, annotations, consumed = codec.decode_packet(
                     view[pos:], codec.DecodeMode.PERMISSIVE)
@@ -554,14 +561,23 @@ class RefBroker:
             return
         if not target.out:
             target.progress_at = self._now
+            self._pending[target] = None
         target.out += codec.encode_packet(packet)
         self._frames_out += 1
         if isinstance(packet, Publish):
             self._routed += 1
         self._dirty.add(target)
-        if len(target.out) > HIGH_WATER and source.blocked_on is None:
-            source.blocked_on = target
-            target.waiters.append(source)
+        if len(target.out) > HIGH_WATER:
+            source.blocked_on[target] = None
+            target.waiters[source] = None
+
+    def _release(self, conn: _Conn) -> None:
+        """Unpause on ``conn`` every waiter; those paused on nothing else resume."""
+        for waiter in conn.waiters:
+            del waiter.blocked_on[conn]
+            if not waiter.blocked_on:
+                self._ready.append(waiter)
+        conn.waiters = {}
 
     def _close(self, conn: _Conn, reason: str, detail: str = "") -> None:
         """The one way a connection ends: count it, detach it, send what fits, close."""
@@ -577,17 +593,18 @@ class RefBroker:
                 conn.sock.send(conn.out)
             except OSError:
                 pass
-        # Free the buffers now: a connection paused on itself is a cycle.
         conn.out = bytearray()
         conn.inbuf = b""
-        conn.blocked_on = None
+        self._pending.pop(conn, None)
+        for target in conn.blocked_on:
+            del target.waiters[conn]
+        conn.blocked_on = {}
         if conn.events:
             assert self._selector is not None
             self._selector.unregister(conn.sock)
         conn.sock.close()
         self._conns.discard(conn)
-        self._ready += conn.waiters
-        conn.waiters = []
+        self._release(conn)
 
 
 def serve(host: str = "127.0.0.1", port: int = 0) -> RefBroker:

@@ -77,12 +77,14 @@ class SlammingBroker:
                 break
             conn.sendall(encode_packet(Connack(session_present=False,
                                                return_code=0)))
-            # Wait for one more packet, then slam the door.
-            conn.settimeout(5)
-            try:
-                conn.recv(4096)
-            except OSError:
-                pass
+            # Wait for one more packet, then slam the door.  It may have
+            # arrived with the CONNECT, in the same chunk.
+            if not buf:
+                conn.settimeout(5)
+                try:
+                    conn.recv(4096)
+                except OSError:
+                    pass
         except OSError:
             pass
         finally:

@@ -389,7 +389,9 @@ def _wait_for(predicate, timeout=5.0):
     return True
 
 
-def test_client_that_never_reads_does_not_stall_others(broker):
+def test_client_that_never_reads_does_not_stall_others(broker, monkeypatch):
+    # Far beyond the test's run time: only probe latency is checked here.
+    monkeypatch.setattr(refbroker, "SEND_DEADLINE_S", 60.0)
     stall = _StallClient(broker.port)
     stall.start()
     try:
@@ -454,6 +456,62 @@ def test_paused_subscriber_gets_every_publish_after_backpressure(broker, monkeyp
         pub.close()
     assert got == [i.to_bytes(4, "big") for i in range(count)]
     assert broker.stats()["closes"]["slow-consumer"] == 0
+
+
+def test_publisher_waits_for_every_subscriber_over_the_mark(broker, monkeypatch):
+    # Frames larger than the mark take the reading subscriber, which
+    # subscribed first, over it on every publish; the publisher must still
+    # wait for the subscriber that does not read.
+    mark, count, payload_size = 16 * 1024, 768, 32 * 1024
+    monkeypatch.setattr(refbroker, "HIGH_WATER", mark)
+    monkeypatch.setattr(refbroker, "SEND_DEADLINE_S", 60.0)
+    peak = {}
+    queue = refbroker.RefBroker._queue
+
+    def queue_and_record(self, source, target, packet):
+        queue(self, source, target, packet)
+        peak[target.peer] = max(peak.get(target.peer, 0), len(target.out))
+
+    monkeypatch.setattr(refbroker.RefBroker, "_queue", queue_and_record)
+    subs = []
+    for client_id in (b"reader", b"stalled"):
+        sub = MiniClient(broker.port)
+        sub.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+        sub.send(Connect(client_id=client_id))
+        sub.recv_packet()
+        sub.send(Subscribe(packet_id=1, entries=((b"flood", 0),)))
+        sub.recv_packet()
+        subs.append(sub)
+    reader, stalled = subs
+    pub = MiniClient(broker.port)
+    pub.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 64 * 1024)
+    pub.send(Connect(client_id=b"flooder"))
+    pub.recv_packet()
+    frames = [encode_packet(Publish(topic=b"flood",
+                                    payload=i.to_bytes(4, "big") * (payload_size // 4)))
+              for i in range(count)]
+    expected = [i.to_bytes(4, "big") for i in range(count)]
+    read = []
+    sender = threading.Thread(target=pub.send_raw, args=(b"".join(frames),), daemon=True)
+    drainer = threading.Thread(
+        target=lambda: read.extend(reader.recv_packet().payload[:4] for _ in range(count)),
+        daemon=True)
+    try:
+        sender.start()
+        drainer.start()
+        time.sleep(1.0)  # the second subscriber does not read for a second
+        assert sender.is_alive(), "the flood never met backpressure"
+        host, port = stalled.sock.getsockname()[:2]
+        assert peak[f"{host}:{port}"] <= mark + len(frames[0]), peak
+        got = [stalled.recv_packet().payload[:4] for _ in range(count)]
+        sender.join(timeout=10)
+        drainer.join(timeout=10)
+        assert not sender.is_alive() and not drainer.is_alive()
+    finally:
+        for client in (reader, stalled, pub):
+            client.close()
+    assert got == expected
+    assert read == expected
 
 
 def test_stats_count_a_scripted_session():
