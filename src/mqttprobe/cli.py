@@ -15,12 +15,15 @@ bind failure), 2 anomalies at or above the --fail-on threshold.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
 import logging
 import os
 import sys
 import time
+from collections.abc import Iterable
 
 from . import __version__, oracle, profiles, refbroker, runner
 from .corpus import builtin_corpus, corpus_by_name, corpus_hash
@@ -43,6 +46,8 @@ from .runner import CorpusResult, Endpoint, RunnerError, probe_liveness, run_cor
 EXIT_CLEAN = 0
 EXIT_LOCAL_ERROR = 1
 EXIT_ANOMALIES = 2
+# Encoder chunks joined into one write of the report.
+REPORT_BATCH = 4096
 
 
 def _env(name: str, default: str | None = None) -> str | None:
@@ -161,15 +166,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_LOCAL_ERROR
 
     results = run_corpus(experiments, endpoint)
-    # Traces first: no outcome is alive yet while their JSONL is built.
+    # Traces first: no outcome is alive yet while they are written.
     if args.traces:
-        os.makedirs(args.traces, exist_ok=True)
-        for result in results:
-            if result.trace is None:
-                continue
-            path = os.path.join(args.traces, f"{result.experiment.name}.jsonl")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(runner.trace_to_jsonl(result.trace))
+        write_traces(args.traces, results)
     label = args.label or args.target
     outcomes = [evaluate_result(result) for result in results]
     profile = fingerprint_outcomes(results, outcomes, broker_label=label)
@@ -179,13 +178,38 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.format == "json":
         report = _json_report(args.target, results, outcomes, profile,
                               args.fail_on, exit_code)
+        chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(report), ("\n",))
     else:
-        report = _md_report(label, results, outcomes, profile)
-    print(report, end="")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
+        chunks = [_md_report(label, results, outcomes, profile)]
+    _write_report(chunks, args.output)
     return exit_code
+
+
+def write_traces(directory: str, results: list[CorpusResult]) -> None:
+    """Write one JSONL file per traced experiment, line by line as it is encoded."""
+    os.makedirs(directory, exist_ok=True)
+    for result in results:
+        if result.trace is None:
+            continue
+        path = os.path.join(directory, f"{result.experiment.name}.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(runner.trace_lines(result.trace))
+
+
+def _write_report(chunks: Iterable[str], output: str | None) -> None:
+    """Write the report to stdout and, if given, to ``output`` as it is encoded.
+
+    The json encoder yields millions of tiny chunks for a large report;
+    they are joined REPORT_BATCH at a time, so the whole text is never held.
+    """
+    chunks = iter(chunks)
+    with contextlib.ExitStack() as stack:
+        sinks = [sys.stdout]
+        if output:
+            sinks.append(stack.enter_context(open(output, "w", encoding="utf-8")))
+        while batch := "".join(itertools.islice(chunks, REPORT_BATCH)):
+            for sink in sinks:
+                sink.write(batch)
 
 
 def _worst_severity(profile: BehaviorProfile) -> Severity:
@@ -204,7 +228,7 @@ def _report_meta(target: str) -> dict:
 
 def _json_report(target: str, results: list[CorpusResult],
                  outcomes: list[ScenarioOutcome | None], profile: BehaviorProfile,
-                 fail_on: str, exit_code: int) -> str:
+                 fail_on: str, exit_code: int) -> dict:
     scenarios = []
     for result, outcome in zip(results, outcomes):
         entry: dict = {"experiment": result.experiment.name,
@@ -219,7 +243,7 @@ def _json_report(target: str, results: list[CorpusResult],
     report = _report_meta(target)
     report.update({"fail_on": fail_on, "exit_code": exit_code,
                    "profile": profile_to_obj(profile), "scenarios": scenarios})
-    return json.dumps(report, indent=2) + "\n"
+    return report
 
 
 def _security_problems(profile: BehaviorProfile) -> str:

@@ -278,7 +278,7 @@ class _Conn:
     def __init__(self, sock: socket.socket, peer: str):
         self.sock = sock
         self.peer = peer
-        self.inbuf = b""            # read but not yet dispatched
+        self.inbuf = bytearray()    # read but not yet dispatched
         self.out = bytearray()      # encoded, not yet taken by the socket
         self.progress_at = 0.0      # when ``out`` last filled from empty or drained
         self.connected = False
@@ -480,7 +480,7 @@ class RefBroker:
         if not chunk:
             self._close(conn, "peer")
             return
-        conn.inbuf = conn.inbuf + chunk if conn.inbuf else chunk
+        conn.inbuf += chunk
         self._dispatch_buffered(conn)
 
     def _flush(self, conn: _Conn) -> None:
@@ -504,29 +504,31 @@ class RefBroker:
 
     def _dispatch_buffered(self, conn: _Conn) -> None:
         """Dispatch whole buffered frames until none is left or the connection pauses."""
-        view = memoryview(conn.inbuf)
         pos = 0
-        while not conn.blocked_on:
-            try:
-                packet, annotations, consumed = codec.decode_packet(
-                    view[pos:], codec.DecodeMode.PERMISSIVE)
-            except codec.IncompleteFrame:
-                break
-            except codec.MalformedFrame as exc:
-                self._close(conn, "malformed", exc.reason)
-                return
-            pos += consumed
-            self._frames_in[type(packet).__name__.lower()] += 1
-            fatal = [a for a in annotations if a not in TOLERATED_ANNOTATIONS]
-            if fatal:
-                self._close(conn, "annotations", ",".join(fatal))
-            elif not conn.connected and not isinstance(packet, Connect):
-                self._close(conn, "first-packet-not-connect")
-            else:
-                self._dispatch(conn, packet)
-            if conn.closed:
-                return
-        conn.inbuf = conn.inbuf[pos:]
+        # The view must be released before the consumed prefix is deleted:
+        # a bytearray with a live export cannot be resized.
+        with memoryview(conn.inbuf) as view:
+            while not conn.blocked_on:
+                try:
+                    packet, annotations, consumed = codec.decode_packet(
+                        view[pos:], codec.DecodeMode.PERMISSIVE)
+                except codec.IncompleteFrame:
+                    break
+                except codec.MalformedFrame as exc:
+                    self._close(conn, "malformed", exc.reason)
+                    return
+                pos += consumed
+                self._frames_in[type(packet).__name__.lower()] += 1
+                fatal = [a for a in annotations if a not in TOLERATED_ANNOTATIONS]
+                if fatal:
+                    self._close(conn, "annotations", ",".join(fatal))
+                elif not conn.connected and not isinstance(packet, Connect):
+                    self._close(conn, "first-packet-not-connect")
+                else:
+                    self._dispatch(conn, packet)
+                if conn.closed:
+                    return
+        del conn.inbuf[:pos]
         self._watch(conn)
 
     def _dispatch(self, conn: _Conn, packet: Packet) -> None:
@@ -594,7 +596,7 @@ class RefBroker:
             except OSError:
                 pass
         conn.out = bytearray()
-        conn.inbuf = b""
+        conn.inbuf = bytearray()
         self._pending.pop(conn, None)
         for target in conn.blocked_on:
             del target.waiters[conn]

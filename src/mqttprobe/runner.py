@@ -48,6 +48,7 @@ import socket
 import time
 import uuid
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import codec
@@ -307,7 +308,7 @@ class _Session:
         self.sock: socket.socket | None = None
         self.interest = 0            # selector events the socket is registered for
         self.reading = False         # open, and the peer has not closed its side
-        self.inbuf = b""
+        self.inbuf = bytearray()     # received, not yet a whole frame
         self.out = bytearray()
         self.out_scripted = False    # ``out`` still holds a scripted frame
         self.progress_at = 0.0       # when ``out`` last filled or shrank
@@ -436,7 +437,8 @@ class _Session:
             self._peer_closed(K_TCP_ERROR, f"recv failed: {exc}")
         else:
             if chunk:
-                self.inbuf = self._drain(self.inbuf + chunk)
+                self.inbuf += chunk
+                self._drain()
             else:
                 self._peer_closed(K_CLOSED_BY_PEER, "")
 
@@ -444,9 +446,10 @@ class _Session:
         # Bytes that never completed a frame still count: record them
         # before the close so the trace accounts for every byte received.
         if self.inbuf:
-            self.run.record(self.decl.id, K_RECEIVED, packet=Raw(data=self.inbuf),
-                            raw=self.inbuf, annotations=("unparsed-at-close",))
-            self.inbuf = b""
+            data = bytes(self.inbuf)
+            self.run.record(self.decl.id, K_RECEIVED, packet=Raw(data=data),
+                            raw=data, annotations=("unparsed-at-close",))
+            self.inbuf = bytearray()
 
     def _peer_closed(self, kind: str, note: str) -> None:
         self._flush_unparsed()
@@ -454,30 +457,39 @@ class _Session:
         self.reading = False
         self._watch()
 
-    def _drain(self, buffer: bytes) -> bytes:
-        while buffer:
-            try:
-                packet, annotations, consumed = codec.decode_packet(
-                    buffer, codec.DecodeMode.PERMISSIVE)
-            except codec.IncompleteFrame:
-                return buffer
-            except codec.MalformedFrame as exc:
-                if exc.frame_length is not None and exc.frame_length <= len(buffer):
-                    frame, buffer = buffer[:exc.frame_length], buffer[exc.frame_length:]
-                else:
-                    frame, buffer = buffer, b""
-                self.run.record(self.decl.id, K_RECEIVED, packet=Raw(frame),
-                                raw=frame,
-                                annotations=(f"malformed: {exc.reason}",))
-                continue
-            frame, buffer = buffer[:consumed], buffer[consumed:]
-            self.run.record(self.decl.id, K_RECEIVED, packet=packet,
-                            raw=frame, annotations=tuple(annotations))
-            if self.unanswered[type(packet)] > 0:
-                self.unanswered[type(packet)] -= 1
-            if self.decl.auto_ack:
-                self._auto_ack(packet)
-        return buffer
+    def _drain(self) -> None:
+        """Record every whole frame in ``inbuf`` and keep the incomplete tail.
+
+        Frames are decoded at an offset through a memoryview, so each frame
+        is copied once instead of the buffer tail once per frame.
+        """
+        pos = 0
+        with memoryview(self.inbuf) as view:
+            while pos < len(view):
+                try:
+                    packet, annotations, consumed = codec.decode_packet(
+                        view[pos:], codec.DecodeMode.PERMISSIVE)
+                except codec.IncompleteFrame:
+                    break
+                except codec.MalformedFrame as exc:
+                    end = len(view)
+                    if exc.frame_length is not None and exc.frame_length <= end - pos:
+                        end = pos + exc.frame_length
+                    frame = bytes(view[pos:end])
+                    pos = end
+                    self.run.record(self.decl.id, K_RECEIVED, packet=Raw(frame),
+                                    raw=frame,
+                                    annotations=(f"malformed: {exc.reason}",))
+                    continue
+                frame = bytes(view[pos:pos + consumed])
+                pos += consumed
+                self.run.record(self.decl.id, K_RECEIVED, packet=packet,
+                                raw=frame, annotations=tuple(annotations))
+                if self.unanswered[type(packet)] > 0:
+                    self.unanswered[type(packet)] -= 1
+                if self.decl.auto_ack:
+                    self._auto_ack(packet)
+        del self.inbuf[:pos]
 
     def _auto_ack(self, packet: Packet) -> None:
         reply: Packet | None = None
@@ -593,26 +605,31 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint) -> Trace:
         run.close()
 
     events = tuple(run.events)
-    aborted = any(
-        s.step_send_failed or _closed_before(events, s)
-        for s in sessions.values())
+    aborted = (any(s.step_send_failed for s in sessions.values())
+               or _closed_before(events, sessions))
     outcome = OUTCOME_ABORTED_BY_PEER if aborted else OUTCOME_COMPLETED
     return Trace(experiment_name=experiment.name, endpoint=endpoint.label,
                  started_at=started_at, events=events, outcome=outcome,
                  settle_gap_ms=SETTLE_GAP_MS, settled_by=settled_by)
 
 
-def _closed_before(events: tuple[TraceEvent, ...], session: _Session) -> bool:
-    sid = session.decl.id
-    # A peer close that follows our own scripted DISCONNECT is the normal
-    # end of the conversation, not an abort.
-    bye_seq = next((e.seq for e in events
-                    if e.kind == K_SENT and e.session == sid and not e.auto
-                    and isinstance(e.packet, Disconnect)), None)
-    return any(e.kind == K_CLOSED_BY_PEER and e.session == sid
-               and e.seq <= session.steps_done_seq
-               and (bye_seq is None or e.seq < bye_seq)
-               for e in events)
+def _closed_before(events: tuple[TraceEvent, ...],
+                   sessions: dict[str, _Session]) -> bool:
+    """Whether the peer closed some session before its steps were done.
+
+    A peer close that follows the session's own scripted DISCONNECT is
+    the normal end of the conversation, not an abort.  Events are in seq
+    order, so one pass sees each session's first DISCONNECT before any
+    close that comes after it.
+    """
+    said_bye: set[str] = set()
+    for e in events:
+        if e.kind == K_SENT and not e.auto and isinstance(e.packet, Disconnect):
+            said_bye.add(e.session)
+        elif (e.kind == K_CLOSED_BY_PEER and e.session not in said_bye
+              and e.seq <= sessions[e.session].steps_done_seq):
+            return True
+    return False
 
 
 def probe_liveness(endpoint: Endpoint) -> Liveness:
@@ -807,20 +824,29 @@ def event_from_obj(obj: dict) -> TraceEvent:
                       auto=obj.get("auto", False), note=obj.get("note", ""))
 
 
-def trace_to_jsonl(trace: Trace) -> str:
-    """One JSON object per line: header, events in seq order, outcome."""
+def trace_lines(trace: Trace) -> Iterator[str]:
+    """Yield the JSONL lines one at a time: header, events in seq order, outcome.
+
+    Each line ends in a newline, so a writer can stream a trace of any
+    length without holding more than one line of it.
+    """
     header = {"record": "trace-header", "experiment": trace.experiment_name,
               "endpoint": trace.endpoint, "started_at": trace.started_at}
     if trace.settle_gap_ms is not None:
         header["settle_gap_ms"] = trace.settle_gap_ms
+    yield json.dumps(header) + "\n"
+    for event in trace.events:
+        yield json.dumps(event_to_obj(event)) + "\n"
     outcome = {"record": "trace-outcome", "outcome": trace.outcome,
                "detail": trace.outcome_detail}
     if trace.settled_by is not None:
         outcome["settled_by"] = trace.settled_by
-    lines = [json.dumps(header)]
-    lines.extend(json.dumps(event_to_obj(event)) for event in trace.events)
-    lines.append(json.dumps(outcome))
-    return "\n".join(lines) + "\n"
+    yield json.dumps(outcome) + "\n"
+
+
+def trace_to_jsonl(trace: Trace) -> str:
+    """The whole trace as one JSONL string: the lines of ``trace_lines``."""
+    return "".join(trace_lines(trace))
 
 
 def trace_from_jsonl(text: str) -> Trace:

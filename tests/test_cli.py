@@ -7,17 +7,21 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
-from mqttprobe import cli, corpus
+from mqttprobe import cli, corpus, runner
 from mqttprobe.codec import (
     Connack,
     DecodeMode,
     IncompleteFrame,
+    Puback,
+    Publish,
     decode_packet,
     encode_packet,
 )
+from mqttprobe.runner import K_RECEIVED, K_SENT, CorpusResult, Liveness, Trace, TraceEvent
 
 
 def run_cli(*argv):
@@ -207,6 +211,76 @@ def test_trace_dump_round_trips(broker, tmp_path, capsys):
     assert len(dumps) == 1
     trace = trace_from_jsonl(dumps[0].read_text())
     assert trace.experiment_name == "ping-once"
+
+
+def test_streamed_outputs_equal_the_whole_serializers(broker, tmp_path, capsys,
+                                                     monkeypatch):
+    # A tiny batch makes the report cross many batch boundaries.
+    monkeypatch.setattr(cli, "REPORT_BATCH", 7)
+    results, reports = [], []
+    json_report = cli._json_report
+
+    def recording_run_corpus(experiments, endpoint):
+        results.extend(runner.run_corpus(experiments, endpoint))
+        return results
+
+    def recording_json_report(*args):
+        reports.append(json_report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_corpus", recording_run_corpus)
+    monkeypatch.setattr(cli, "_json_report", recording_json_report)
+    path = _write_experiment(tmp_path, name="stream", steps=[
+        {"action": "subscribe", "session": "f", "filter": "t/#", "qos": 2,
+         "packet_id": 1},
+        {"action": "publish", "session": "f", "topic": "t/é", "payload": "x",
+         "qos": 1, "packet_id": 2},
+        {"action": "pingreq", "session": "f"},
+    ])
+    traces_dir, output = tmp_path / "traces", tmp_path / "report.json"
+    code = run_cli("run", "--target", f"127.0.0.1:{broker.port}",
+                   "--experiment", str(path), "--format", "json",
+                   "--traces", str(traces_dir), "--output", str(output))
+    stdout = capsys.readouterr().out
+    assert code == 0
+    (result,) = results
+    assert len(result.trace.events) > 5
+    written = (traces_dir / "stream.jsonl").read_text(encoding="utf-8")
+    assert written == runner.trace_to_jsonl(result.trace)
+    (report,) = reports
+    assert output.read_text(encoding="utf-8") == stdout
+    assert stdout == json.dumps(report, indent=2) + "\n"
+
+
+def test_trace_writer_streams_a_large_trace(tmp_path):
+    # Building the JSONL whole before writing it peaked at about three
+    # times the file size; streamed, the peak does not grow with the trace.
+    experiment = corpus.builtin_corpus()[0]
+    events = []
+    for seq in range(0, 100_000, 2):
+        publish = Publish(topic=b"stream/t", payload=seq.to_bytes(4, "big"),
+                          qos=1, packet_id=seq % 65_535 + 1)
+        events.append(TraceEvent(seq=seq, t_ms=seq / 10, session="f",
+                                 kind=K_SENT, packet=publish,
+                                 raw=encode_packet(publish)))
+        ack = Puback(publish.packet_id)
+        events.append(TraceEvent(seq=seq + 1, t_ms=seq / 10, session="f",
+                                 kind=K_RECEIVED, packet=ack,
+                                 raw=encode_packet(ack)))
+    trace = Trace(experiment_name=experiment.name, endpoint="synthetic:1883",
+                  started_at=0.0, events=tuple(events), outcome="completed")
+    result = CorpusResult(experiment, trace, Liveness(True))
+    tracemalloc.start()
+    try:
+        cli.write_traces(str(tmp_path), [result])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    path = tmp_path / f"{experiment.name}.jsonl"
+    assert path.stat().st_size > 20 << 20
+    assert peak < 2 << 20, f"writing a {path.stat().st_size} byte trace peaked at {peak} bytes"
+    with path.open(encoding="utf-8") as handle:
+        assert sum(1 for _ in handle) == len(events) + 2
 
 
 def test_settle_override_applies(broker, tmp_path, capsys):

@@ -28,6 +28,7 @@ from mqttprobe.codec import (
     Unsubscribe,
     decode_packet,
     encode_packet,
+    encode_remaining_length,
 )
 from mqttprobe.refbroker import Router
 from mqttprobe.runner import Endpoint, probe_liveness
@@ -566,3 +567,27 @@ def test_stats_count_a_scripted_session():
     assert stats["closes"] == dict.fromkeys(refbroker.CLOSE_REASONS, 0) | {
         "malformed": 1, "first-packet-not-connect": 1, "violation": 1,
         "disconnect": 1, "evicted": 1, "peer": 1}
+
+
+def test_large_publish_is_buffered_in_linear_time(broker):
+    # A frame arrives in RECV_BYTES pieces.  Rebuilding the inbound buffer
+    # on every recv copied it once per piece, quadratic in the frame size:
+    # this PUBLISH then took 7 to 15 s to reach the PINGREQ behind it.
+    size, piece = 48 << 20, bytes(1 << 20)
+    header = encode_packet(Publish(topic=b"big", payload=b""))
+    header = bytes([header[0]]) + encode_remaining_length(len(header) - 2 + size) + header[2:]
+    c = MiniClient(broker.port)
+    try:
+        c.send(Connect(client_id=b"big"))
+        c.recv_packet()
+        t0 = time.perf_counter()
+        c.send_raw(header)
+        for _ in range(size // len(piece)):
+            c.send_raw(piece)
+        c.send(Pingreq())
+        assert c.recv_packet(timeout=60) == Pingresp()
+        elapsed = time.perf_counter() - t0
+    finally:
+        c.close()
+    assert elapsed < 1.0, f"{size >> 20} MiB PUBLISH took {elapsed:.2f} s"
+    assert broker.stats()["frames_in"]["publish"] == 1

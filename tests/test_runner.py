@@ -8,7 +8,7 @@ import time
 import pytest
 
 from mqttprobe import corpus, runner
-from mqttprobe.codec import Connack, Connect, Disconnect, Publish, encode_packet
+from mqttprobe.codec import Connack, Connect, Disconnect, Publish, Raw, encode_packet
 from mqttprobe.experiment import parse_experiment
 from mqttprobe.runner import (
     Endpoint,
@@ -165,6 +165,32 @@ def test_byte_count_tap_valid_and_malformed():
     received = sum(len(e.raw) for e in trace.events
                    if e.kind == K_RECEIVED and e.raw)
     assert received == peer.sent == len(script)
+
+
+def test_received_events_keep_each_frame_across_chunk_boundaries():
+    frames = [
+        encode_packet(Connack(session_present=False, return_code=0)),
+        encode_packet(Publish(topic=b"t", payload=b"x" * 300)),
+        b"\x62\x02\x00\x00",          # pubrel with id 0: complete but annotated
+        b"\x20\x01\x00",              # connack body too short: malformed, framed
+        encode_packet(Disconnect()),
+    ]
+    tail = encode_packet(Publish(topic=b"t", payload=b"cut"))[:-2]
+    peer = TapPeer(b"".join(frames) + tail, chunk=7)
+    exp = _exp({
+        "name": "frames", "sessions": [{"id": "f", "auto_ack": False}],
+        "settle_ms": 1500,
+        "steps": [{"action": "pingreq", "session": "f"}],
+    })
+    trace = run_experiment(exp, Endpoint(host="127.0.0.1", port=peer.port))
+    peer.thread.join(5)
+    received = [e for e in trace.events if e.kind == K_RECEIVED]
+    assert [e.raw for e in received] == frames + [tail]
+    assert all(type(e.raw) is bytes for e in received)
+    assert received[3].packet == Raw(frames[3])
+    assert received[3].annotations[0].startswith("malformed: ")
+    assert received[5].packet == Raw(tail)
+    assert received[5].annotations == ("unparsed-at-close",)
 
 
 def test_hostile_peer_random_bytes_never_crashes_runner():
