@@ -1,6 +1,7 @@
 """Wire codec: framing, varint, strict/permissive decode, splicing."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,23 @@ def test_malformed_reports_frame_length_for_resync():
     with pytest.raises(MalformedFrame) as exc:
         decode_packet(broken, DecodeMode.PERMISSIVE)
     assert exc.value.frame_length == len(broken)
+
+
+def test_decode_copies_a_large_payload_once():
+    # Only the fields a packet returns are copied out of the caller's
+    # buffer, so a large PUBLISH is held once more, not twice.
+    payload_size = 8 * 1024 * 1024
+    frame = encode_packet(Publish(topic=b"big", payload=bytes(payload_size), qos=1,
+                                  packet_id=1))
+    with memoryview(frame) as view:
+        tracemalloc.start()
+        try:
+            packet, _, consumed = decode_packet(view, DecodeMode.STRICT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert consumed == len(frame) and len(packet.payload) == payload_size
+    assert peak <= 1.25 * payload_size
 
 
 # ---------------------------------------------------------------------------
