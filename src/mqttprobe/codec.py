@@ -263,30 +263,25 @@ Packet = (
     | Pingreq | Pingresp | Disconnect | Raw
 )
 
-# Fixed-header flag nibble required for each type; PUBLISH is dynamic.
-_FIXED_FLAGS = {
-    PacketType.CONNECT: 0,
-    PacketType.CONNACK: 0,
-    PacketType.PUBACK: 0,
-    PacketType.PUBREC: 0,
-    PacketType.PUBREL: 2,
-    PacketType.PUBCOMP: 0,
-    PacketType.SUBSCRIBE: 2,
-    PacketType.SUBACK: 0,
-    PacketType.UNSUBSCRIBE: 2,
-    PacketType.UNSUBACK: 0,
-    PacketType.PINGREQ: 0,
-    PacketType.PINGRESP: 0,
-    PacketType.DISCONNECT: 0,
+# Packet class -> (packet type, fixed-header flag nibble); PUBLISH sets
+# its own flags.  decode_packet reads the table inverted.
+_HEADERS = {
+    Connect: (PacketType.CONNECT, 0),
+    Connack: (PacketType.CONNACK, 0),
+    Publish: (PacketType.PUBLISH, 0),
+    Puback: (PacketType.PUBACK, 0),
+    Pubrec: (PacketType.PUBREC, 0),
+    Pubrel: (PacketType.PUBREL, 2),
+    Pubcomp: (PacketType.PUBCOMP, 0),
+    Subscribe: (PacketType.SUBSCRIBE, 2),
+    Suback: (PacketType.SUBACK, 0),
+    Unsubscribe: (PacketType.UNSUBSCRIBE, 2),
+    Unsuback: (PacketType.UNSUBACK, 0),
+    Pingreq: (PacketType.PINGREQ, 0),
+    Pingresp: (PacketType.PINGRESP, 0),
+    Disconnect: (PacketType.DISCONNECT, 0),
 }
-
-_ACK_TYPES = {
-    PacketType.PUBACK: Puback,
-    PacketType.PUBREC: Pubrec,
-    PacketType.PUBREL: Pubrel,
-    PacketType.PUBCOMP: Pubcomp,
-    PacketType.UNSUBACK: Unsuback,
-}
+_CLASSES = {ptype: (cls, flags) for cls, (ptype, flags) in _HEADERS.items()}
 
 
 def _check_packet_id(value: int, field_name: str = "packet_id") -> None:
@@ -310,61 +305,39 @@ def encode_packet(packet: Packet) -> bytes:
     encoded as-is; breaking frames beyond that is what Raw and splice
     are for.
     """
-    if isinstance(packet, Raw):
+    cls = type(packet)
+    if cls is Raw:
         return packet.data
-    if isinstance(packet, Connect):
+    if cls is Connect:
         return _encode_connect(packet)
-    if isinstance(packet, Connack):
+    if cls is Publish:
+        return _encode_publish(packet)
+    if cls not in _HEADERS:
+        raise InvariantViolation("packet", f"unsupported packet {packet!r}")
+    ptype, flags = _HEADERS[cls]
+    body = bytearray()
+    if cls is Connack:
         if not 0 <= packet.return_code <= 5:
             raise InvariantViolation("return_code", f"{packet.return_code} outside 0..5")
-        body = bytes([1 if packet.session_present else 0, packet.return_code])
-        return _frame(PacketType.CONNACK, 0, body)
-    if isinstance(packet, Publish):
-        return _encode_publish(packet)
-    if isinstance(packet, Puback):
+        body += bytes([1 if packet.session_present else 0, packet.return_code])
+    elif "packet_id" in cls.__dataclass_fields__:  # every other body starts with it
         _check_packet_id(packet.packet_id)
-        return _frame(PacketType.PUBACK, 0, packet.packet_id.to_bytes(2, "big"))
-    if isinstance(packet, Pubrec):
-        _check_packet_id(packet.packet_id)
-        return _frame(PacketType.PUBREC, 0, packet.packet_id.to_bytes(2, "big"))
-    if isinstance(packet, Pubrel):
-        _check_packet_id(packet.packet_id)
-        return _frame(PacketType.PUBREL, 2, packet.packet_id.to_bytes(2, "big"))
-    if isinstance(packet, Pubcomp):
-        _check_packet_id(packet.packet_id)
-        return _frame(PacketType.PUBCOMP, 0, packet.packet_id.to_bytes(2, "big"))
-    if isinstance(packet, Subscribe):
-        _check_packet_id(packet.packet_id)
-        body = bytearray(packet.packet_id.to_bytes(2, "big"))
-        for i, (topic_filter, qos) in enumerate(packet.entries):
-            if not 0 <= qos <= 2:
-                raise InvariantViolation(f"entries[{i}].qos", f"{qos} outside 0..2")
-            body += _encode_string(topic_filter, f"entries[{i}].filter")
-            body.append(qos)
-        return _frame(PacketType.SUBSCRIBE, 2, bytes(body))
-    if isinstance(packet, Suback):
-        _check_packet_id(packet.packet_id)
-        for i, code in enumerate(packet.return_codes):
-            if code not in (0, 1, 2, 0x80):
-                raise InvariantViolation(f"return_codes[{i}]", f"{code} not in {{0, 1, 2, 0x80}}")
-        body = packet.packet_id.to_bytes(2, "big") + bytes(packet.return_codes)
-        return _frame(PacketType.SUBACK, 0, body)
-    if isinstance(packet, Unsubscribe):
-        _check_packet_id(packet.packet_id)
-        body = bytearray(packet.packet_id.to_bytes(2, "big"))
-        for i, topic_filter in enumerate(packet.filters):
-            body += _encode_string(topic_filter, f"filters[{i}]")
-        return _frame(PacketType.UNSUBSCRIBE, 2, bytes(body))
-    if isinstance(packet, Unsuback):
-        _check_packet_id(packet.packet_id)
-        return _frame(PacketType.UNSUBACK, 0, packet.packet_id.to_bytes(2, "big"))
-    if isinstance(packet, Pingreq):
-        return _frame(PacketType.PINGREQ, 0, b"")
-    if isinstance(packet, Pingresp):
-        return _frame(PacketType.PINGRESP, 0, b"")
-    if isinstance(packet, Disconnect):
-        return _frame(PacketType.DISCONNECT, 0, b"")
-    raise InvariantViolation("packet", f"unsupported packet {packet!r}")
+        body += packet.packet_id.to_bytes(2, "big")
+        if cls is Subscribe:
+            for i, (topic_filter, qos) in enumerate(packet.entries):
+                if not 0 <= qos <= 2:
+                    raise InvariantViolation(f"entries[{i}].qos", f"{qos} outside 0..2")
+                body += _encode_string(topic_filter, f"entries[{i}].filter")
+                body.append(qos)
+        elif cls is Suback:
+            for i, code in enumerate(packet.return_codes):
+                if code not in (0, 1, 2, 0x80):
+                    raise InvariantViolation(f"return_codes[{i}]", f"{code} not in {{0, 1, 2, 0x80}}")
+            body += bytes(packet.return_codes)
+        elif cls is Unsubscribe:
+            for i, topic_filter in enumerate(packet.filters):
+                body += _encode_string(topic_filter, f"filters[{i}]")
+    return _frame(ptype, flags, bytes(body))
 
 
 def _encode_connect(packet: Connect) -> bytes:
@@ -422,17 +395,22 @@ def _encode_publish(packet: Publish) -> bytes:
 
 
 class _Body:
-    """Cursor over one frame body; overruns raise MalformedFrame."""
+    """Cursor over one frame body in the caller's buffer.
 
-    def __init__(self, data: bytes, frame_length: int):
+    Reads between offsets instead of copying the body, so only the
+    fields taken are copied out; overruns raise MalformedFrame.
+    """
+
+    def __init__(self, data: bytes | memoryview, start: int, end: int):
         self.data = data
-        self.pos = 0
-        self.frame_length = frame_length
+        self.pos = start
+        self.end = end
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MalformedFrame(f"{what} overruns the frame body", self.frame_length)
-        chunk = self.data[self.pos:self.pos + n]
+        if self.pos + n > self.end:
+            # The frame starts at offset 0, so its end is its length.
+            raise MalformedFrame(f"{what} overruns the frame body", self.end)
+        chunk = bytes(self.data[self.pos:self.pos + n])
         self.pos += n
         return chunk
 
@@ -444,7 +422,7 @@ class _Body:
 
     @property
     def remaining(self) -> int:
-        return len(self.data) - self.pos
+        return self.end - self.pos
 
 
 def decode_packet(data: bytes | memoryview,
@@ -454,15 +432,15 @@ def decode_packet(data: bytes | memoryview,
     Returns (packet, annotations, consumed).  STRICT mode raises
     MalformedFrame whenever PERMISSIVE mode would have annotated;
     IncompleteFrame means the buffer ends mid-frame and more bytes may
-    complete it.  Only the frame is copied, so a stream reader can pass
-    a memoryview of its buffer from an offset.
+    complete it.  Only the decoded fields are copied, so a stream reader
+    can pass a memoryview of its buffer from an offset.
     """
     if not data:
         raise IncompleteFrame("empty buffer")
     type_value = data[0] >> 4
     flags = data[0] & 0x0F
     try:
-        ptype = PacketType(type_value)
+        cls, fixed_flags = _CLASSES[PacketType(type_value)]
     except ValueError:
         raise MalformedFrame(f"reserved packet type {type_value}") from None
     length, length_consumed = decode_remaining_length(data[1:5])
@@ -473,16 +451,16 @@ def decode_packet(data: bytes | memoryview,
     annotations: list[str] = []
     if length_consumed > len(encode_remaining_length(length)):
         annotations.append(A_LENGTH_NOT_MINIMAL)
-    body = _Body(bytes(data[1 + length_consumed:frame_length]), frame_length)
+    body = _Body(data, 1 + length_consumed, frame_length)
 
-    if ptype == PacketType.PUBLISH:
+    if cls is Publish:
         packet = _decode_publish(flags, body, annotations)
     else:
-        if flags != _FIXED_FLAGS[ptype]:
+        if flags != fixed_flags:
             annotations.append(A_RESERVED_FLAGS)
-        if ptype == PacketType.CONNECT:
+        if cls is Connect:
             packet = _decode_connect(body, annotations)
-        elif ptype == PacketType.CONNACK:
+        elif cls is Connack:
             ack_flags = body.take(1, "connack flags")[0]
             return_code = body.take(1, "connack return code")[0]
             if ack_flags & 0xFE:
@@ -490,36 +468,30 @@ def decode_packet(data: bytes | memoryview,
             if return_code > 5:
                 annotations.append(A_CONNACK_RETURN_CODE)
             packet = Connack(session_present=bool(ack_flags & 1), return_code=return_code)
-        elif ptype in _ACK_TYPES:
+        elif "packet_id" in cls.__dataclass_fields__:  # every other body starts with it
             packet_id = body.take_u16("packet id")
             if packet_id == 0:
                 annotations.append(A_PACKET_ID_ZERO)
-            packet = _ACK_TYPES[ptype](packet_id=packet_id)
-        elif ptype == PacketType.SUBSCRIBE:
-            packet = _decode_subscribe(body, annotations)
-        elif ptype == PacketType.SUBACK:
-            packet_id = body.take_u16("packet id")
-            if packet_id == 0:
-                annotations.append(A_PACKET_ID_ZERO)
-            codes = tuple(body.take(body.remaining, "return codes"))
-            if not codes:
-                annotations.append(A_SUBACK_EMPTY)
-            if any(code not in (0, 1, 2, 0x80) for code in codes):
-                annotations.append(A_SUBACK_RETURN_CODE)
-            packet = Suback(packet_id=packet_id, return_codes=codes)
-        elif ptype == PacketType.UNSUBSCRIBE:
-            packet_id = body.take_u16("packet id")
-            if packet_id == 0:
-                annotations.append(A_PACKET_ID_ZERO)
-            filters = []
-            while body.remaining:
-                filters.append(body.take_string("filter"))
-            if not filters:
-                annotations.append(A_UNSUBSCRIBE_EMPTY)
-            packet = Unsubscribe(packet_id=packet_id, filters=tuple(filters))
-        else:  # PINGREQ, PINGRESP, DISCONNECT
-            packet = {PacketType.PINGREQ: Pingreq, PacketType.PINGRESP: Pingresp,
-                      PacketType.DISCONNECT: Disconnect}[ptype]()
+            if cls is Subscribe:
+                packet = _decode_subscribe(packet_id, body, annotations)
+            elif cls is Suback:
+                codes = tuple(body.take(body.remaining, "return codes"))
+                if not codes:
+                    annotations.append(A_SUBACK_EMPTY)
+                if any(code not in (0, 1, 2, 0x80) for code in codes):
+                    annotations.append(A_SUBACK_RETURN_CODE)
+                packet = Suback(packet_id=packet_id, return_codes=codes)
+            elif cls is Unsubscribe:
+                filters = []
+                while body.remaining:
+                    filters.append(body.take_string("filter"))
+                if not filters:
+                    annotations.append(A_UNSUBSCRIBE_EMPTY)
+                packet = Unsubscribe(packet_id=packet_id, filters=tuple(filters))
+            else:
+                packet = cls(packet_id=packet_id)
+        else:
+            packet = cls()
 
     if body.remaining:
         annotations.append(A_TRAILING_BYTES)
@@ -584,10 +556,7 @@ def _decode_connect(body: _Body, annotations: list[str]) -> Connect:
                    username=username, password=password)
 
 
-def _decode_subscribe(body: _Body, annotations: list[str]) -> Subscribe:
-    packet_id = body.take_u16("packet id")
-    if packet_id == 0:
-        annotations.append(A_PACKET_ID_ZERO)
+def _decode_subscribe(packet_id: int, body: _Body, annotations: list[str]) -> Subscribe:
     entries = []
     while body.remaining:
         topic_filter = body.take_string("filter")

@@ -22,7 +22,8 @@ from __future__ import annotations
 import binascii
 import functools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
+from typing import get_args
 
 from . import codec, topics
 
@@ -60,15 +61,16 @@ class UnknownSessionRefError(ExperimentError):
 
 @dataclass(frozen=True)
 class SessionDecl:
+    # Parsed and rendered in field order, as every step is.
     id: str
     client_id: bytes | None = None  # None resolves to the id, UTF-8 encoded
     clean_session: bool = True
     keep_alive: int = 60
     protocol_name: bytes = b"MQTT"
     protocol_level: int = 4
+    auto_ack: bool = True
     username: str | None = None
     password: str | None = None
-    auto_ack: bool = True
 
     def __post_init__(self) -> None:
         if self.client_id is None:
@@ -173,7 +175,7 @@ class SpliceNextStep:
     """Arm a byte-level patch for the session's next scripted frame."""
 
     session: str
-    offset: int
+    offset: int = 0
     remove: int = 0
     insert: bytes = b""
     fixup_length: bool = True
@@ -395,20 +397,42 @@ class _Obj:
             raise SchemaError(self.sub(key), "unknown key")
 
 
+# Inclusive bounds of every integer field of a step or session, by name.
+_INT_BOUNDS = {"qos": (0, 2), "packet_id": (0, 65_535), "offset": (0, 2**31),
+               "remove": (0, 2**31), "ms": (0, MAX_WAIT_MS), "count": (1, MAX_REPEAT),
+               "keep_alive": (0, 65_535), "protocol_level": (0, 255)}
+
+
+def _field_spec(cls: type) -> tuple:
+    """(name, reader, reader arguments) per document field, in declaration order.
+
+    The annotation picks the reader; a field without a default is a
+    required key.  A step's ``session`` and a repeat's ``steps`` are read
+    apart.
+    """
+    spec = []
+    for f in fields(cls):
+        if f.name in ("session", "steps"):
+            continue
+        default = ... if f.default is MISSING else f.default
+        if f.type.startswith("bytes"):
+            spec.append((f.name, _Obj.take_bytes, (f.name, default)))
+        elif f.type == "bool":
+            spec.append((f.name, _Obj.take, (f.name, bool, default)))
+        elif f.name in _INT_BOUNDS:
+            spec.append((f.name, _Obj.take_int, (f.name, *_INT_BOUNDS[f.name], default)))
+        else:
+            spec.append((f.name, _Obj.take, (f.name, str, default)))
+    return tuple(spec)
+
+
+_SESSION_FIELDS = _field_spec(SessionDecl)
+_STEP_FIELDS = {cls.action: (cls, _field_spec(cls)) for cls in get_args(Step)}
+
+
 def _parse_session(raw: object, path: str) -> SessionDecl:
     obj = _Obj(raw, path)
-    session_id = obj.take("id", str)
-    decl = SessionDecl(
-        id=session_id,
-        client_id=obj.take_bytes("client_id", None),
-        clean_session=obj.take("clean_session", bool, True),
-        keep_alive=obj.take_int("keep_alive", 0, 65_535, 60),
-        protocol_name=obj.take_bytes("protocol_name", b"MQTT"),
-        protocol_level=obj.take_int("protocol_level", 0, 255, 4),
-        username=obj.take("username", str, None),
-        password=obj.take("password", str, None),
-        auto_ack=obj.take("auto_ack", bool, True),
-    )
+    decl = SessionDecl(**{name: read(obj, *args) for name, read, args in _SESSION_FIELDS})
     obj.finish()
     return decl
 
@@ -417,60 +441,27 @@ def _parse_step(raw: object, path: str, depth: int) -> Step:
     obj = _Obj(raw, path)
     session = obj.take("session", str)
     action = obj.take("action", str)
-    step: Step
-    if action == "connect":
-        step = ConnectStep(session)
-    elif action == "disconnect":
-        step = DisconnectStep(session)
-    elif action == "subscribe":
-        step = SubscribeStep(session, filter=obj.take_bytes("filter"),
-                             qos=obj.take_int("qos", 0, 2, 0),
-                             packet_id=obj.take_int("packet_id", 0, 65_535, 1))
-    elif action == "unsubscribe":
-        step = UnsubscribeStep(session, filter=obj.take_bytes("filter"),
-                               packet_id=obj.take_int("packet_id", 0, 65_535, 1))
-    elif action == "publish":
-        qos = obj.take_int("qos", 0, 2, 0)
-        packet_id = obj.take_int("packet_id", 0, 65_535, None)
-        if qos > 0 and packet_id is None:
+    if action not in _STEP_FIELDS:
+        raise SchemaError(obj.sub("action"), f"unknown action {action!r}")
+    cls, spec = _STEP_FIELDS[action]
+    if cls is RepeatStep and depth >= 4:
+        raise SchemaError(path, "repeat nesting deeper than 4")
+    values = {name: read(obj, *args) for name, read, args in spec}
+    if cls is RepeatStep:
+        inner = tuple(_parse_step(item, f"{path}.steps[{i}]", depth + 1)
+                      for i, item in enumerate(obj.take("steps", list)))  # type: ignore[arg-type]
+        if not inner:
+            raise SchemaError(obj.sub("steps"), "repeat with no steps")
+        values["steps"] = inner
+    elif cls is PublishStep:
+        qos, packet_id = values["qos"], values["packet_id"]
+        if qos > 0 and packet_id is None:  # type: ignore[operator]
             raise SchemaError(path, f"publish with qos {qos} requires an explicit packet_id")
         if qos == 0 and packet_id is not None:
             raise SchemaError(obj.sub("packet_id"), "not representable on a qos 0 publish; "
                                                     "use splice_next to force one")
-        step = PublishStep(session, topic=obj.take_bytes("topic"),
-                           payload=obj.take_bytes("payload", b""), qos=qos,
-                           packet_id=packet_id,
-                           retain=obj.take("retain", bool, False),
-                           dup=obj.take("dup", bool, False))
-    elif action in ("puback", "pubrec", "pubrel", "pubcomp"):
-        cls = {"puback": PubackStep, "pubrec": PubrecStep,
-               "pubrel": PubrelStep, "pubcomp": PubcompStep}[action]
-        step = cls(session, packet_id=obj.take_int("packet_id", 0, 65_535))
-    elif action == "pingreq":
-        step = PingreqStep(session)
-    elif action == "send_raw":
-        step = SendRawStep(session, data=obj.take_bytes("data"))
-    elif action == "splice_next":
-        step = SpliceNextStep(session, offset=obj.take_int("offset", 0, 2**31, 0),
-                              remove=obj.take_int("remove", 0, 2**31, 0),
-                              insert=obj.take_bytes("insert", b""),
-                              fixup_length=obj.take("fixup_length", bool, True))
-    elif action == "wait":
-        step = WaitStep(session, ms=obj.take_int("ms", 0, MAX_WAIT_MS))
-    elif action == "repeat":
-        if depth >= 4:
-            raise SchemaError(path, "repeat nesting deeper than 4")
-        count = obj.take_int("count", 1, MAX_REPEAT)
-        inner_raw = obj.take("steps", list)
-        inner = tuple(_parse_step(item, f"{path}.steps[{i}]", depth + 1)
-                      for i, item in enumerate(inner_raw))  # type: ignore[union-attr]
-        if not inner:
-            raise SchemaError(obj.sub("steps"), "repeat with no steps")
-        step = RepeatStep(session, count=count, steps=inner)
-    else:
-        raise SchemaError(obj.sub("action"), f"unknown action {action!r}")
     obj.finish()
-    return step
+    return cls(session, **values)
 
 
 def parse_experiment(text: str) -> Experiment:
@@ -528,22 +519,21 @@ def _check_session_refs(experiment: Experiment) -> None:
 
 # --- rendering -------------------------------------------------------------
 
-def _render_step(step: Step) -> dict:
-    out: dict[str, object] = {"session": step.session, "action": step.action}
-    for f in fields(step):
-        if f.name == "session":
-            continue
-        value = getattr(step, f.name)
+def _render_fields(obj: object, out: dict[str, object]) -> dict[str, object]:
+    """A step's or session's fields in order; bytes as ``_hex``, None left out."""
+    for f in fields(obj):  # type: ignore[arg-type]
+        value = getattr(obj, f.name)
         if f.name == "steps":
             out["steps"] = [_render_step(inner) for inner in value]
         elif isinstance(value, bytes):
-            key = "data" if step.action == "send_raw" else f.name
-            out[f"{key}_hex"] = value.hex()
-        elif value is None:
-            continue
-        else:
+            out[f"{f.name}_hex"] = value.hex()
+        elif value is not None:
             out[f.name] = value
     return out
+
+
+def _render_step(step: Step) -> dict[str, object]:
+    return _render_fields(step, {"session": step.session, "action": step.action})
 
 
 def render_experiment(experiment: Experiment) -> str:
@@ -553,27 +543,11 @@ def render_experiment(experiment: Experiment) -> str:
     defaults are written out, so rendering is stable and re-parsing
     yields an equal Experiment.
     """
-    sessions = []
-    for decl in experiment.sessions:
-        session: dict[str, object] = {
-            "id": decl.id,
-            "client_id_hex": decl.client_id.hex(),
-            "clean_session": decl.clean_session,
-            "keep_alive": decl.keep_alive,
-            "protocol_name_hex": decl.protocol_name.hex(),
-            "protocol_level": decl.protocol_level,
-            "auto_ack": decl.auto_ack,
-        }
-        if decl.username is not None:
-            session["username"] = decl.username
-        if decl.password is not None:
-            session["password"] = decl.password
-        sessions.append(session)
     doc = {
         "name": experiment.name,
         "description": experiment.description,
         "settle_ms": experiment.settle_ms,
-        "sessions": sessions,
+        "sessions": [_render_fields(decl, {}) for decl in experiment.sessions],
         "steps": [_render_step(step) for step in experiment.steps],
     }
     return json.dumps(doc, indent=2)

@@ -43,13 +43,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import selectors
 import socket
 import time
 import uuid
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_args
 
 from . import codec
 from .codec import (
@@ -522,29 +524,32 @@ class _Session:
             pass
 
 
+def _shared_fields(step_cls: type, packet_cls: type):
+    """Getter of the packet's fields the step holds under the same names."""
+    names = [f.name for f in fields(packet_cls) if f.name in step_cls.__dataclass_fields__]
+    if len(names) == 1:
+        return lambda step: (getattr(step, names[0]),)
+    return operator.attrgetter(*names) if names else (lambda step: ())
+
+
+# Step class -> (packet class, getter of its constructor arguments).
+_STEP_PACKETS = {
+    step_cls: (packet_cls, _shared_fields(step_cls, packet_cls))
+    for step_cls, packet_cls in (
+        (PublishStep, Publish), (PubackStep, Puback), (PubrecStep, Pubrec),
+        (PubrelStep, Pubrel), (PubcompStep, Pubcomp), (PingreqStep, Pingreq),
+        (SendRawStep, Raw), (DisconnectStep, Disconnect))
+}
+# A subscribe or unsubscribe step names one filter.
+_STEP_PACKETS[SubscribeStep] = (Subscribe, lambda s: (s.packet_id, ((s.filter, s.qos),)))
+_STEP_PACKETS[UnsubscribeStep] = (Unsubscribe, lambda s: (s.packet_id, (s.filter,)))
+
+
 def _step_packet(step: Step) -> Packet:
-    if isinstance(step, SubscribeStep):
-        return Subscribe(step.packet_id, ((step.filter, step.qos),))
-    if isinstance(step, UnsubscribeStep):
-        return Unsubscribe(step.packet_id, (step.filter,))
-    if isinstance(step, PublishStep):
-        return Publish(topic=step.topic, payload=step.payload, qos=step.qos,
-                       packet_id=step.packet_id, retain=step.retain, dup=step.dup)
-    if isinstance(step, PubackStep):
-        return Puback(step.packet_id)
-    if isinstance(step, PubrecStep):
-        return Pubrec(step.packet_id)
-    if isinstance(step, PubrelStep):
-        return Pubrel(step.packet_id)
-    if isinstance(step, PubcompStep):
-        return Pubcomp(step.packet_id)
-    if isinstance(step, PingreqStep):
-        return Pingreq()
-    if isinstance(step, SendRawStep):
-        return Raw(step.data)
-    if isinstance(step, DisconnectStep):
-        return Disconnect()
-    raise RunnerError(f"step {step!r} does not emit a packet")
+    if type(step) not in _STEP_PACKETS:
+        raise RunnerError(f"step {step!r} does not emit a packet")
+    packet_cls, arguments = _STEP_PACKETS[type(step)]
+    return packet_cls(*arguments(step))
 
 
 def check_reachable(endpoint: Endpoint) -> None:
@@ -713,97 +718,62 @@ def _unhex(value: str | None) -> bytes | None:
     return None if value is None else bytes.fromhex(value)
 
 
+# How each packet field annotation goes to trace JSON and back, as
+# (to JSON, from JSON); None means the value is JSON as it is.  Bytes
+# are lowercase hex, tuples are lists and a Will is a nested object.
+_FIELD_JSON = {
+    "int": (None, None),
+    "int | None": (None, None),
+    "bool": (None, None),
+    "bytes": (bytes.hex, bytes.fromhex),
+    "bytes | None": (_hex, _unhex),
+    "tuple[int, ...]": (list, tuple),
+    "tuple[bytes, ...]": (lambda fs: [f.hex() for f in fs],
+                          lambda fs: tuple(bytes.fromhex(f) for f in fs)),
+    "tuple[tuple[bytes, int], ...]": (lambda es: [[f.hex(), q] for f, q in es],
+                                      lambda es: tuple((bytes.fromhex(f), q) for f, q in es)),
+    "Will | None": (lambda w: None if w is None else _to_obj(w, _WILL_JSON, {}),
+                    lambda o: None if o is None else _from_obj(Will, _WILL_JSON, o)),
+}
+
+
+def _json_spec(cls: type) -> tuple:
+    """(field name, to JSON, from JSON) per field, chosen once per class."""
+    return tuple((f.name, *_FIELD_JSON[f.type]) for f in fields(cls))
+
+
+_WILL_JSON = _json_spec(Will)
+# Packet class -> ("type" value, field spec), and the other way round.
+_PACKET_JSON = {cls: (cls.__name__.lower(), _json_spec(cls)) for cls in get_args(Packet)}
+_PACKET_CLASSES = {name: (cls, spec) for cls, (name, spec) in _PACKET_JSON.items()}
+
+
+def _to_obj(value: object, spec: tuple, obj: dict) -> dict:
+    for name, to_json, _ in spec:
+        field_value = getattr(value, name)
+        obj[name] = field_value if to_json is None else to_json(field_value)
+    return obj
+
+
+def _from_obj(cls: type, spec: tuple, obj: dict) -> object:
+    # A key that an older trace omits takes the field's default.
+    return cls(**{name: obj[name] if from_json is None else from_json(obj[name])
+                  for name, _, from_json in spec if name in obj})
+
+
 def packet_to_obj(packet: Packet) -> dict:
     """JSON-ready form of a packet; byte fields are lowercase hex."""
-    if isinstance(packet, Connect):
-        will = None
-        if packet.will is not None:
-            will = {"topic": packet.will.topic.hex(), "payload": packet.will.payload.hex(),
-                    "qos": packet.will.qos, "retain": packet.will.retain}
-        return {"type": "connect", "client_id": packet.client_id.hex(),
-                "clean_session": packet.clean_session, "keep_alive": packet.keep_alive,
-                "protocol_name": packet.protocol_name.hex(),
-                "protocol_level": packet.protocol_level, "will": will,
-                "username": _hex(packet.username), "password": _hex(packet.password)}
-    if isinstance(packet, Connack):
-        return {"type": "connack", "session_present": packet.session_present,
-                "return_code": packet.return_code}
-    if isinstance(packet, Publish):
-        return {"type": "publish", "topic": packet.topic.hex(),
-                "payload": packet.payload.hex(), "qos": packet.qos,
-                "packet_id": packet.packet_id, "retain": packet.retain,
-                "dup": packet.dup}
-    if isinstance(packet, (Puback, Pubrec, Pubrel, Pubcomp)):
-        return {"type": type(packet).__name__.lower(), "packet_id": packet.packet_id}
-    if isinstance(packet, Subscribe):
-        return {"type": "subscribe", "packet_id": packet.packet_id,
-                "entries": [[f.hex(), q] for f, q in packet.entries]}
-    if isinstance(packet, codec.Suback):
-        return {"type": "suback", "packet_id": packet.packet_id,
-                "return_codes": list(packet.return_codes)}
-    if isinstance(packet, Unsubscribe):
-        return {"type": "unsubscribe", "packet_id": packet.packet_id,
-                "filters": [f.hex() for f in packet.filters]}
-    if isinstance(packet, codec.Unsuback):
-        return {"type": "unsuback", "packet_id": packet.packet_id}
-    if isinstance(packet, Pingreq):
-        return {"type": "pingreq"}
-    if isinstance(packet, codec.Pingresp):
-        return {"type": "pingresp"}
-    if isinstance(packet, Disconnect):
-        return {"type": "disconnect"}
-    if isinstance(packet, Raw):
-        return {"type": "raw", "data": packet.data.hex()}
-    raise ValueError(f"unserializable packet {packet!r}")
+    if type(packet) not in _PACKET_JSON:
+        raise ValueError(f"unserializable packet {packet!r}")
+    name, spec = _PACKET_JSON[type(packet)]
+    return _to_obj(packet, spec, {"type": name})
 
 
 def packet_from_obj(obj: dict) -> Packet:
     kind = obj["type"]
-    if kind == "connect":
-        will = None
-        if obj.get("will") is not None:
-            w = obj["will"]
-            will = Will(topic=bytes.fromhex(w["topic"]),
-                        payload=bytes.fromhex(w["payload"]),
-                        qos=w["qos"], retain=w["retain"])
-        return Connect(client_id=bytes.fromhex(obj["client_id"]),
-                       clean_session=obj["clean_session"],
-                       keep_alive=obj["keep_alive"],
-                       protocol_name=bytes.fromhex(obj["protocol_name"]),
-                       protocol_level=obj["protocol_level"], will=will,
-                       username=_unhex(obj.get("username")),
-                       password=_unhex(obj.get("password")))
-    if kind == "connack":
-        return Connack(session_present=obj["session_present"],
-                       return_code=obj["return_code"])
-    if kind == "publish":
-        return Publish(topic=bytes.fromhex(obj["topic"]),
-                       payload=bytes.fromhex(obj["payload"]), qos=obj["qos"],
-                       packet_id=obj.get("packet_id"), retain=obj["retain"],
-                       dup=obj["dup"])
-    if kind in ("puback", "pubrec", "pubrel", "pubcomp", "unsuback"):
-        cls = {"puback": Puback, "pubrec": Pubrec, "pubrel": Pubrel,
-               "pubcomp": Pubcomp, "unsuback": codec.Unsuback}[kind]
-        return cls(packet_id=obj["packet_id"])
-    if kind == "subscribe":
-        return Subscribe(packet_id=obj["packet_id"],
-                         entries=tuple((bytes.fromhex(f), q)
-                                       for f, q in obj["entries"]))
-    if kind == "suback":
-        return codec.Suback(packet_id=obj["packet_id"],
-                            return_codes=tuple(obj["return_codes"]))
-    if kind == "unsubscribe":
-        return Unsubscribe(packet_id=obj["packet_id"],
-                           filters=tuple(bytes.fromhex(f) for f in obj["filters"]))
-    if kind == "pingreq":
-        return Pingreq()
-    if kind == "pingresp":
-        return codec.Pingresp()
-    if kind == "disconnect":
-        return Disconnect()
-    if kind == "raw":
-        return Raw(data=bytes.fromhex(obj["data"]))
-    raise ValueError(f"unknown packet type {kind!r}")
+    if kind not in _PACKET_CLASSES:
+        raise ValueError(f"unknown packet type {kind!r}")
+    return _from_obj(*_PACKET_CLASSES[kind], obj)  # type: ignore[return-value]
 
 
 def event_to_obj(event: TraceEvent) -> dict:

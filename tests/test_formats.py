@@ -375,7 +375,8 @@ def test_every_wire_step_sends_its_pinned_packet():
     assert sent == ALL_ACTIONS_PACKETS
 
 
-# One valid step per action; the error cases break exactly one thing.
+# One valid step per action, and one valid session; each error case
+# breaks exactly one thing in them.
 BASE_STEPS = {
     "connect": {},
     "disconnect": {},
@@ -394,10 +395,14 @@ BASE_STEPS = {
     "wait": {"ms": 5},
     "repeat": {"count": 2, "steps": [{"session": "f", "action": "pingreq"}]},
 }
+BASE_SESSION = {"id": "f", "client_id": "c", "clean_session": False, "keep_alive": 30,
+                "protocol_name": "MQTT", "protocol_level": 4, "username": "u",
+                "password": "p", "auto_ack": False}
 
 _OUT_OF_RANGE = {"qos": (-1, 3), "packet_id": (-1, 65_536),
                  "offset": (-1, 2**31 + 1), "remove": (-1, 2**31 + 1),
-                 "ms": (-1, 60_001), "count": (0, 100_001)}
+                 "ms": (-1, 60_001), "count": (0, 100_001),
+                 "keep_alive": (-1, 65_536), "protocol_level": (-1, 256)}
 
 
 def _wrong_types(value):
@@ -410,22 +415,25 @@ def _wrong_types(value):
     return ["x"]
 
 
+def _faults(prefix, full):
+    for key in full:
+        if key == "action":
+            continue
+        doc = dict(full)
+        del doc[key]
+        yield f"{prefix}-missing-{key}", doc
+        for k, wrong in enumerate(_wrong_types(full[key])):
+            yield f"{prefix}-type-{key}-{k}", {**full, key: wrong}
+    for key, values in _OUT_OF_RANGE.items():
+        if key in full:
+            for k, value in enumerate(values):
+                yield f"{prefix}-range-{key}-{k}", {**full, key: value}
+    yield f"{prefix}-unknown", {**full, "bogus": 1}
+
+
 def _step_cases():
     for action, base in BASE_STEPS.items():
-        full = {"session": "f", "action": action, **base}
-        for key in full:
-            if key == "action":
-                continue
-            doc = dict(full)
-            del doc[key]
-            yield f"{action}-missing-{key}", doc
-            for k, wrong in enumerate(_wrong_types(full[key])):
-                yield f"{action}-type-{key}-{k}", {**full, key: wrong}
-        for key, values in _OUT_OF_RANGE.items():
-            if key in full:
-                for k, value in enumerate(values):
-                    yield f"{action}-range-{key}-{k}", {**full, key: value}
-        yield f"{action}-unknown", {**full, "bogus": 1}
+        yield from _faults(action, {"session": "f", "action": action, **base})
     yield "no-action", {"session": "f"}
     yield "unknown-action", {"session": "f", "action": "auth"}
     yield "twin-conflict", {"session": "f", "action": "subscribe", "filter": "a",
@@ -445,11 +453,22 @@ def _step_cases():
                                            {"session": "f", "action": "puback"}]}
 
 
-STEP_CASES = dict(_step_cases())
+def _documents():
+    for case_id, step in _step_cases():
+        yield case_id, {"name": "t", "sessions": [{"id": "f"}], "steps": [step]}
+    for case_id, session in _faults("decl", BASE_SESSION):
+        yield case_id, {"name": "t", "sessions": [session], "steps": []}
+    yield "decl-twin-conflict", {"name": "t", "sessions": [
+        {"id": "f", "client_id": "a", "client_id_hex": "61"}], "steps": []}
+    yield "decl-bad-hex", {"name": "t", "sessions": [
+        {"id": "f", "protocol_name_hex": "4"}], "steps": []}
 
-# case id -> (SchemaError.path, SchemaError.reason), or the repr of the
-# parsed step when the document is accepted.
-STEP_OUTCOMES = {
+
+DOCUMENTS = dict(_documents())
+
+# case id -> (SchemaError.path, SchemaError.reason), or when the document
+# is accepted, the rendered form of its step (or else its session).
+OUTCOMES = {
     'connect-missing-session': ('steps[0]', "missing required key 'session'"),
     'connect-type-session-0': ('steps[0].session', 'expected str, got int'),
     'connect-type-session-1': ('steps[0].session', 'expected str, got NoneType'),
@@ -468,11 +487,11 @@ STEP_OUTCOMES = {
     'subscribe-missing-filter': ('steps[0]', "missing required key 'filter' (or 'filter_hex')"),
     'subscribe-type-filter-0': ('steps[0].filter', 'expected str, got int'),
     'subscribe-type-filter-1': ('steps[0].filter', 'expected str, got NoneType'),
-    'subscribe-missing-qos': "SubscribeStep(session='f', filter=b'a/+', qos=0, packet_id=2)",
+    'subscribe-missing-qos': '{"session": "f", "action": "subscribe", "filter_hex": "612f2b", "qos": 0, "packet_id": 2}',
     'subscribe-type-qos-0': ('steps[0].qos', 'expected int, got str'),
     'subscribe-type-qos-1': ('steps[0].qos', 'expected an integer, got a boolean'),
     'subscribe-type-qos-2': ('steps[0].qos', 'expected int, got NoneType'),
-    'subscribe-missing-packet_id': "SubscribeStep(session='f', filter=b'a/+', qos=1, packet_id=1)",
+    'subscribe-missing-packet_id': '{"session": "f", "action": "subscribe", "filter_hex": "612f2b", "qos": 1, "packet_id": 1}',
     'subscribe-type-packet_id-0': ('steps[0].packet_id', 'expected int, got str'),
     'subscribe-type-packet_id-1': ('steps[0].packet_id', 'expected an integer, got a boolean'),
     'subscribe-type-packet_id-2': ('steps[0].packet_id', 'expected int, got NoneType'),
@@ -487,7 +506,7 @@ STEP_OUTCOMES = {
     'unsubscribe-missing-filter': ('steps[0]', "missing required key 'filter' (or 'filter_hex')"),
     'unsubscribe-type-filter-0': ('steps[0].filter', 'expected str, got int'),
     'unsubscribe-type-filter-1': ('steps[0].filter', 'expected str, got NoneType'),
-    'unsubscribe-missing-packet_id': "UnsubscribeStep(session='f', filter=b'a/+', packet_id=1)",
+    'unsubscribe-missing-packet_id': '{"session": "f", "action": "unsubscribe", "filter_hex": "612f2b", "packet_id": 1}',
     'unsubscribe-type-packet_id-0': ('steps[0].packet_id', 'expected int, got str'),
     'unsubscribe-type-packet_id-1': ('steps[0].packet_id', 'expected an integer, got a boolean'),
     'unsubscribe-type-packet_id-2': ('steps[0].packet_id', 'expected int, got NoneType'),
@@ -500,7 +519,7 @@ STEP_OUTCOMES = {
     'publish-missing-topic': ('steps[0]', "missing required key 'topic' (or 'topic_hex')"),
     'publish-type-topic-0': ('steps[0].topic', 'expected str, got int'),
     'publish-type-topic-1': ('steps[0].topic', 'expected str, got NoneType'),
-    'publish-missing-payload': "PublishStep(session='f', topic=b'a/b', payload=b'', qos=1, packet_id=3, retain=False, dup=False)",
+    'publish-missing-payload': '{"session": "f", "action": "publish", "topic_hex": "612f62", "payload_hex": "", "qos": 1, "packet_id": 3, "retain": false, "dup": false}',
     'publish-type-payload-0': ('steps[0].payload', 'expected str, got int'),
     'publish-type-payload-1': ('steps[0].payload', 'expected str, got NoneType'),
     'publish-missing-qos': ('steps[0].packet_id', 'not representable on a qos 0 publish; use splice_next to force one'),
@@ -511,10 +530,10 @@ STEP_OUTCOMES = {
     'publish-type-packet_id-0': ('steps[0].packet_id', 'expected int, got str'),
     'publish-type-packet_id-1': ('steps[0].packet_id', 'expected an integer, got a boolean'),
     'publish-type-packet_id-2': ('steps[0].packet_id', 'expected int, got NoneType'),
-    'publish-missing-retain': "PublishStep(session='f', topic=b'a/b', payload=b'p', qos=1, packet_id=3, retain=False, dup=False)",
+    'publish-missing-retain': '{"session": "f", "action": "publish", "topic_hex": "612f62", "payload_hex": "70", "qos": 1, "packet_id": 3, "retain": false, "dup": false}',
     'publish-type-retain-0': ('steps[0].retain', 'expected bool, got int'),
     'publish-type-retain-1': ('steps[0].retain', 'expected bool, got str'),
-    'publish-missing-dup': "PublishStep(session='f', topic=b'a/b', payload=b'p', qos=1, packet_id=3, retain=False, dup=False)",
+    'publish-missing-dup': '{"session": "f", "action": "publish", "topic_hex": "612f62", "payload_hex": "70", "qos": 1, "packet_id": 3, "retain": false, "dup": false}',
     'publish-type-dup-0': ('steps[0].dup', 'expected bool, got int'),
     'publish-type-dup-1': ('steps[0].dup', 'expected bool, got str'),
     'publish-range-qos-0': ('steps[0].qos', '-1 outside 0..2'),
@@ -572,18 +591,18 @@ STEP_OUTCOMES = {
     'splice_next-missing-session': ('steps[0]', "missing required key 'session'"),
     'splice_next-type-session-0': ('steps[0].session', 'expected str, got int'),
     'splice_next-type-session-1': ('steps[0].session', 'expected str, got NoneType'),
-    'splice_next-missing-offset': "SpliceNextStep(session='f', offset=0, remove=0, insert=b'\\x00', fixup_length=True)",
+    'splice_next-missing-offset': '{"session": "f", "action": "splice_next", "offset": 0, "remove": 0, "insert_hex": "00", "fixup_length": true}',
     'splice_next-type-offset-0': ('steps[0].offset', 'expected int, got str'),
     'splice_next-type-offset-1': ('steps[0].offset', 'expected an integer, got a boolean'),
     'splice_next-type-offset-2': ('steps[0].offset', 'expected int, got NoneType'),
-    'splice_next-missing-remove': "SpliceNextStep(session='f', offset=1, remove=0, insert=b'\\x00', fixup_length=True)",
+    'splice_next-missing-remove': '{"session": "f", "action": "splice_next", "offset": 1, "remove": 0, "insert_hex": "00", "fixup_length": true}',
     'splice_next-type-remove-0': ('steps[0].remove', 'expected int, got str'),
     'splice_next-type-remove-1': ('steps[0].remove', 'expected an integer, got a boolean'),
     'splice_next-type-remove-2': ('steps[0].remove', 'expected int, got NoneType'),
-    'splice_next-missing-insert_hex': "SpliceNextStep(session='f', offset=1, remove=0, insert=b'', fixup_length=True)",
+    'splice_next-missing-insert_hex': '{"session": "f", "action": "splice_next", "offset": 1, "remove": 0, "insert_hex": "", "fixup_length": true}',
     'splice_next-type-insert_hex-0': ('steps[0].insert_hex', 'expected str, got int'),
     'splice_next-type-insert_hex-1': ('steps[0].insert_hex', 'expected str, got NoneType'),
-    'splice_next-missing-fixup_length': "SpliceNextStep(session='f', offset=1, remove=0, insert=b'\\x00', fixup_length=True)",
+    'splice_next-missing-fixup_length': '{"session": "f", "action": "splice_next", "offset": 1, "remove": 0, "insert_hex": "00", "fixup_length": true}',
     'splice_next-type-fixup_length-0': ('steps[0].fixup_length', 'expected bool, got int'),
     'splice_next-type-fixup_length-1': ('steps[0].fixup_length', 'expected bool, got str'),
     'splice_next-range-offset-0': ('steps[0].offset', '-1 outside 0..2147483648'),
@@ -622,18 +641,59 @@ STEP_OUTCOMES = {
     'repeat-empty': ('steps[0].steps', 'repeat with no steps'),
     'repeat-too-deep': ('steps[0].steps[0].steps[0].steps[0].steps[0]', 'repeat nesting deeper than 4'),
     'repeat-inner-fault': ('steps[0].steps[1]', "missing required key 'packet_id'"),
+    'decl-missing-id': ('sessions[0]', "missing required key 'id'"),
+    'decl-type-id-0': ('sessions[0].id', 'expected str, got int'),
+    'decl-type-id-1': ('sessions[0].id', 'expected str, got NoneType'),
+    'decl-missing-client_id': '{"id": "f", "client_id_hex": "66", "clean_session": false, "keep_alive": 30, "protocol_name_hex": "4d515454", "protocol_level": 4, "auto_ack": false, "username": "u", "password": "p"}',
+    'decl-type-client_id-0': ('sessions[0].client_id', 'expected str, got int'),
+    'decl-type-client_id-1': ('sessions[0].client_id', 'expected str, got NoneType'),
+    'decl-missing-clean_session': '{"id": "f", "client_id_hex": "63", "clean_session": true, "keep_alive": 30, "protocol_name_hex": "4d515454", "protocol_level": 4, "auto_ack": false, "username": "u", "password": "p"}',
+    'decl-type-clean_session-0': ('sessions[0].clean_session', 'expected bool, got int'),
+    'decl-type-clean_session-1': ('sessions[0].clean_session', 'expected bool, got str'),
+    'decl-missing-keep_alive': '{"id": "f", "client_id_hex": "63", "clean_session": false, "keep_alive": 60, "protocol_name_hex": "4d515454", "protocol_level": 4, "auto_ack": false, "username": "u", "password": "p"}',
+    'decl-type-keep_alive-0': ('sessions[0].keep_alive', 'expected int, got str'),
+    'decl-type-keep_alive-1': ('sessions[0].keep_alive', 'expected an integer, got a boolean'),
+    'decl-type-keep_alive-2': ('sessions[0].keep_alive', 'expected int, got NoneType'),
+    'decl-missing-protocol_name': '{"id": "f", "client_id_hex": "63", "clean_session": false, "keep_alive": 30, "protocol_name_hex": "4d515454", "protocol_level": 4, "auto_ack": false, "username": "u", "password": "p"}',
+    'decl-type-protocol_name-0': ('sessions[0].protocol_name', 'expected str, got int'),
+    'decl-type-protocol_name-1': ('sessions[0].protocol_name', 'expected str, got NoneType'),
+    'decl-missing-protocol_level': '{"id": "f", "client_id_hex": "63", "clean_session": false, "keep_alive": 30, "protocol_name_hex": "4d515454", "protocol_level": 4, "auto_ack": false, "username": "u", "password": "p"}',
+    'decl-type-protocol_level-0': ('sessions[0].protocol_level', 'expected int, got str'),
+    'decl-type-protocol_level-1': ('sessions[0].protocol_level', 'expected an integer, got a boolean'),
+    'decl-type-protocol_level-2': ('sessions[0].protocol_level', 'expected int, got NoneType'),
+    'decl-missing-username': '{"id": "f", "client_id_hex": "63", "clean_session": false, "keep_alive": 30, "protocol_name_hex": "4d515454", "protocol_level": 4, "auto_ack": false, "password": "p"}',
+    'decl-type-username-0': ('sessions[0].username', 'expected str, got int'),
+    'decl-type-username-1': ('sessions[0].username', 'expected str, got NoneType'),
+    'decl-missing-password': '{"id": "f", "client_id_hex": "63", "clean_session": false, "keep_alive": 30, "protocol_name_hex": "4d515454", "protocol_level": 4, "auto_ack": false, "username": "u"}',
+    'decl-type-password-0': ('sessions[0].password', 'expected str, got int'),
+    'decl-type-password-1': ('sessions[0].password', 'expected str, got NoneType'),
+    'decl-missing-auto_ack': '{"id": "f", "client_id_hex": "63", "clean_session": false, "keep_alive": 30, "protocol_name_hex": "4d515454", "protocol_level": 4, "auto_ack": true, "username": "u", "password": "p"}',
+    'decl-type-auto_ack-0': ('sessions[0].auto_ack', 'expected bool, got int'),
+    'decl-type-auto_ack-1': ('sessions[0].auto_ack', 'expected bool, got str'),
+    'decl-range-keep_alive-0': ('sessions[0].keep_alive', '-1 outside 0..65535'),
+    'decl-range-keep_alive-1': ('sessions[0].keep_alive', '65536 outside 0..65535'),
+    'decl-range-protocol_level-0': ('sessions[0].protocol_level', '-1 outside 0..255'),
+    'decl-range-protocol_level-1': ('sessions[0].protocol_level', '256 outside 0..255'),
+    'decl-unknown': ('sessions[0].bogus', 'unknown key'),
+    'decl-twin-conflict': ('sessions[0]', "'client_id' and 'client_id_hex' are mutually exclusive"),
+    'decl-bad-hex': ('sessions[0].protocol_name_hex', 'invalid hex string'),
 }
 
 
-@pytest.mark.parametrize("case_id", list(STEP_CASES))
-def test_step_document_errors_are_pinned(case_id):
-    doc = {"name": "t", "sessions": [{"id": "f"}], "steps": [STEP_CASES[case_id]]}
-    expected = STEP_OUTCOMES[case_id]
+def _rendered_entry(text):
+    doc = json.loads(render_experiment(parse_experiment(text)))
+    return json.dumps(doc["steps"][0] if doc["steps"] else doc["sessions"][0])
+
+
+@pytest.mark.parametrize("case_id", list(DOCUMENTS))
+def test_document_errors_are_pinned(case_id):
+    text = json.dumps(DOCUMENTS[case_id])
+    expected = OUTCOMES[case_id]
     if isinstance(expected, str):
-        assert repr(parse_experiment(json.dumps(doc)).steps[0]) == expected
+        assert _rendered_entry(text) == expected
         return
     with pytest.raises(SchemaError) as exc:
-        parse_experiment(json.dumps(doc))
+        parse_experiment(text)
     assert (exc.value.path, exc.value.reason) == expected
 
 
