@@ -25,7 +25,7 @@ import sys
 import time
 from collections.abc import Iterable
 
-from . import __version__, oracle, profiles, refbroker, runner
+from . import __version__, oracle, profiles, refbroker
 from .corpus import builtin_corpus, corpus_by_name, corpus_hash
 from .experiment import Experiment, ExperimentError, parse_experiment, render_experiment
 from .oracle import (
@@ -41,7 +41,8 @@ from .oracle import (
     outcome_to_obj,
     profile_to_obj,
 )
-from .runner import CorpusResult, Endpoint, RunnerError, probe_liveness, run_corpus
+from .runner import Endpoint, RunnerError, probe_liveness, run_corpus, run_in_turn
+from .trace import CorpusResult, trace_lines
 
 EXIT_CLEAN = 0
 EXIT_LOCAL_ERROR = 1
@@ -145,6 +146,11 @@ def _load_experiments(args: argparse.Namespace) -> list[Experiment]:
     if args.settle_ms is not None:
         experiments = [dataclasses.replace(e, settle_ms=args.settle_ms)
                        for e in experiments]
+    names: set[str] = set()
+    for experiment in experiments:  # a name is a trace file and a profile key
+        if experiment.name in names:
+            raise ExperimentError(f"experiment name {experiment.name!r} is used twice")
+        names.add(experiment.name)
     return experiments
 
 
@@ -165,12 +171,10 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"{first_probe.detail}", file=sys.stderr)
         return EXIT_LOCAL_ERROR
 
-    results = run_corpus(experiments, endpoint)
-    # Traces first: no outcome is alive yet while they are written.
-    if args.traces:
-        write_traces(args.traces, results)
+    # map frees each full result once judged; a loop variable would hold it.
+    results, outcomes = zip(*map(lambda result: _judge(result, args.traces),
+                                 run_in_turn(experiments, endpoint)))
     label = args.label or args.target
-    outcomes = [evaluate_result(result) for result in results]
     profile = fingerprint_outcomes(results, outcomes, broker_label=label)
 
     threshold = Severity.from_label(args.fail_on)
@@ -185,6 +189,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
+def _judge(result: CorpusResult, traces: str | None) -> tuple[CorpusResult, ScenarioOutcome | None]:
+    """Write the trace, then evaluate; keep what the reports read, not the events."""
+    if traces:
+        write_traces(traces, [result])
+    outcome = evaluate_result(result)
+    if result.trace is not None:
+        result = dataclasses.replace(result, trace=dataclasses.replace(result.trace, events=()))
+    return result, outcome
+
+
 def write_traces(directory: str, results: list[CorpusResult]) -> None:
     """Write one JSONL file per traced experiment, line by line as it is encoded."""
     os.makedirs(directory, exist_ok=True)
@@ -193,7 +207,7 @@ def write_traces(directory: str, results: list[CorpusResult]) -> None:
             continue
         path = os.path.join(directory, f"{result.experiment.name}.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(runner.trace_lines(result.trace))
+            handle.writelines(trace_lines(result.trace))
 
 
 def _write_report(chunks: Iterable[str], output: str | None) -> None:

@@ -474,6 +474,9 @@ def parse_experiment(text: str) -> Experiment:
     name = obj.take("name", str)
     if not name:
         raise SchemaError("name", "must not be empty")
+    # The name is a file name in the trace directory, never a path.
+    if name in (".", "..") or any(c in name for c in "/\\\0"):
+        raise SchemaError("name", "must not be '.' or '..' or contain '/', '\\' or NUL")
     description = obj.take("description", str, "")
     settle_ms = obj.take_int("settle_ms", 0, MAX_SETTLE_MS, DEFAULT_SETTLE_MS)
     sessions_raw = obj.take("sessions", list)

@@ -36,7 +36,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .codec import (
-    Disconnect,
     Puback,
     Pubcomp,
     Publish,
@@ -45,8 +44,7 @@ from .codec import (
     Suback,
 )
 from .experiment import Experiment, Identity, scripted_input_conformant  # noqa: F401 (re-export)
-from .runner import (
-    K_CLOSED_BY_PEER,
+from .trace import (
     K_RECEIVED,
     K_SENT,
     OUTCOME_COMPLETED,
@@ -54,6 +52,7 @@ from .runner import (
     CorpusResult,
     Trace,
     TraceEvent,
+    peer_closes,
 )
 
 
@@ -183,18 +182,6 @@ def _deliveries(trace: Trace, subscriber_sessions: set[str]) -> list[TraceEvent]
     return out
 
 
-def _closes(trace: Trace) -> list[TraceEvent]:
-    """Peer closes, excluding those after a scripted disconnect."""
-    disconnect_seq: dict[str, int] = {}
-    for event in trace.events:
-        if (event.kind == K_SENT and not event.auto
-                and isinstance(event.packet, Disconnect)):
-            disconnect_seq.setdefault(event.session, event.seq)
-    return [e for e in trace.events
-            if e.kind == K_CLOSED_BY_PEER
-            and e.seq < disconnect_seq.get(e.session, e.seq + 1)]
-
-
 def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     """Classify one trace against its script."""
     if trace.experiment_name != experiment.name:
@@ -203,7 +190,7 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     model = experiment.model
     delivery_events = _deliveries(trace, model.subscriber_sessions)
     delivered = [(e.packet.topic, e.packet.payload) for e in delivery_events]  # type: ignore[union-attr]
-    closes = _closes(trace)
+    closes = peer_closes(trace.events)
     conformant = experiment.input_conformant
     anomalies: list[Anomaly] = []
 
@@ -415,11 +402,6 @@ def fingerprint_outcomes(results: list[CorpusResult],
         summaries[name] = summary
     return BehaviorProfile(broker_label=broker_label, version=version,
                            outcomes=summaries)
-
-
-def profile_anomaly_codes(profile: BehaviorProfile) -> dict[str, tuple[str, ...]]:
-    return {name: summary.anomalies
-            for name, summary in sorted(profile.outcomes.items())}
 
 
 def diff_profiles(a: BehaviorProfile, b: BehaviorProfile) -> list[tuple[str, str]]:

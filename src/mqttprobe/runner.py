@@ -41,7 +41,6 @@ not errors.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import selectors
@@ -49,9 +48,8 @@ import socket
 import time
 import uuid
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
-from typing import get_args
 
 from . import codec
 from .codec import (
@@ -68,7 +66,6 @@ from .codec import (
     Raw,
     Subscribe,
     Unsubscribe,
-    Will,
 )
 from .experiment import (
     ConnectStep,
@@ -88,16 +85,11 @@ from .experiment import (
     WaitStep,
     expand_steps,
 )
-
-K_SENT = "sent"
-K_RECEIVED = "received"
-K_CONNECTED = "connected"
-K_CLOSED_BY_PEER = "closed-by-peer"
-K_TCP_ERROR = "tcp-error"
-
-OUTCOME_COMPLETED = "completed"
-OUTCOME_ABORTED_BY_PEER = "aborted-by-peer"
-OUTCOME_RUNNER_ERROR = "runner-error"
+# trace_from_jsonl and trace_to_jsonl stay importable from here for bench/.
+from .trace import (K_CLOSED_BY_PEER, K_CONNECTED, K_RECEIVED, K_SENT,  # noqa: F401
+                    K_TCP_ERROR, OUTCOME_ABORTED_BY_PEER, OUTCOME_COMPLETED,
+                    OUTCOME_RUNNER_ERROR, CorpusResult, Liveness, Trace, TraceEvent,
+                    peer_closes, trace_from_jsonl, trace_to_jsonl)
 
 SETTLED_CLOSED = "closed"
 SETTLED_QUIET = "quiet"
@@ -164,46 +156,6 @@ class Endpoint:
     @property
     def label(self) -> str:
         return f"{self.host}:{self.port}"
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    seq: int
-    t_ms: float
-    session: str
-    kind: str
-    packet: Packet | None = None
-    raw: bytes | None = None
-    annotations: tuple[str, ...] = ()
-    auto: bool = False
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class Trace:
-    experiment_name: str
-    endpoint: str
-    started_at: float
-    events: tuple[TraceEvent, ...]
-    outcome: str
-    outcome_detail: str = ""
-    # Absent from traces written before settle listened for quiet.
-    settle_gap_ms: int | None = None
-    settled_by: str | None = None
-
-
-@dataclass(frozen=True)
-class Liveness:
-    alive: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class CorpusResult:
-    experiment: Experiment
-    trace: Trace | None
-    liveness: Liveness
-    skipped: str | None = None
 
 
 _REPLIES: dict[type, type] = {
@@ -610,31 +562,14 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint) -> Trace:
         run.close()
 
     events = tuple(run.events)
+    # A scripted frame was lost, or the peer closed a session mid-script.
     aborted = (any(s.step_send_failed for s in sessions.values())
-               or _closed_before(events, sessions))
+               or any(e.seq <= sessions[e.session].steps_done_seq
+                      for e in peer_closes(events)))
     outcome = OUTCOME_ABORTED_BY_PEER if aborted else OUTCOME_COMPLETED
     return Trace(experiment_name=experiment.name, endpoint=endpoint.label,
                  started_at=started_at, events=events, outcome=outcome,
                  settle_gap_ms=SETTLE_GAP_MS, settled_by=settled_by)
-
-
-def _closed_before(events: tuple[TraceEvent, ...],
-                   sessions: dict[str, _Session]) -> bool:
-    """Whether the peer closed some session before its steps were done.
-
-    A peer close that follows the session's own scripted DISCONNECT is
-    the normal end of the conversation, not an abort.  Events are in seq
-    order, so one pass sees each session's first DISCONNECT before any
-    close that comes after it.
-    """
-    said_bye: set[str] = set()
-    for e in events:
-        if e.kind == K_SENT and not e.auto and isinstance(e.packet, Disconnect):
-            said_bye.add(e.session)
-        elif (e.kind == K_CLOSED_BY_PEER and e.session not in said_bye
-              and e.seq <= sessions[e.session].steps_done_seq):
-            return True
-    return False
 
 
 def probe_liveness(endpoint: Endpoint) -> Liveness:
@@ -682,165 +617,33 @@ def probe_liveness(endpoint: Endpoint) -> Liveness:
             pass
 
 
-def run_corpus(experiments: list[Experiment], endpoint: Endpoint) -> list[CorpusResult]:
+def run_in_turn(experiments: Iterable[Experiment],
+                endpoint: Endpoint) -> Iterator[CorpusResult]:
     """Run experiments in order, probing liveness after each.
 
-    Once a probe reports the broker dead, the remaining experiments are
-    returned as skipped rather than hammering a corpse.
+    Each result is yielded, and not held here, before the next experiment
+    starts.  After a dead probe the rest are skipped, not run into a corpse.
     """
-    results: list[CorpusResult] = []
-    dead_detail: str | None = None
+    liveness = Liveness(True)
     for experiment in experiments:
-        if dead_detail is not None:
-            results.append(CorpusResult(experiment, None, Liveness(False, dead_detail),
-                                        skipped=f"broker dead: {dead_detail}"))
-            continue
-        try:
-            trace = run_experiment(experiment, endpoint)
-        except RunnerError as exc:
-            trace = Trace(experiment_name=experiment.name, endpoint=endpoint.label,
-                          started_at=time.time(), events=(),
-                          outcome=OUTCOME_RUNNER_ERROR, outcome_detail=str(exc))
-        liveness = probe_liveness(endpoint)
         if not liveness.alive:
-            dead_detail = liveness.detail
-        results.append(CorpusResult(experiment, trace, liveness))
-    return results
-
-
-# --- serialization ---------------------------------------------------------
-
-def _hex(value: bytes | None) -> str | None:
-    return None if value is None else value.hex()
-
-
-def _unhex(value: str | None) -> bytes | None:
-    return None if value is None else bytes.fromhex(value)
-
-
-# How each packet field annotation goes to trace JSON and back, as
-# (to JSON, from JSON); None means the value is JSON as it is.  Bytes
-# are lowercase hex, tuples are lists and a Will is a nested object.
-_FIELD_JSON = {
-    "int": (None, None),
-    "int | None": (None, None),
-    "bool": (None, None),
-    "bytes": (bytes.hex, bytes.fromhex),
-    "bytes | None": (_hex, _unhex),
-    "tuple[int, ...]": (list, tuple),
-    "tuple[bytes, ...]": (lambda fs: [f.hex() for f in fs],
-                          lambda fs: tuple(bytes.fromhex(f) for f in fs)),
-    "tuple[tuple[bytes, int], ...]": (lambda es: [[f.hex(), q] for f, q in es],
-                                      lambda es: tuple((bytes.fromhex(f), q) for f, q in es)),
-    "Will | None": (lambda w: None if w is None else _to_obj(w, _WILL_JSON, {}),
-                    lambda o: None if o is None else _from_obj(Will, _WILL_JSON, o)),
-}
-
-
-def _json_spec(cls: type) -> tuple:
-    """(field name, to JSON, from JSON) per field, chosen once per class."""
-    return tuple((f.name, *_FIELD_JSON[f.type]) for f in fields(cls))
-
-
-_WILL_JSON = _json_spec(Will)
-# Packet class -> ("type" value, field spec), and the other way round.
-_PACKET_JSON = {cls: (cls.__name__.lower(), _json_spec(cls)) for cls in get_args(Packet)}
-_PACKET_CLASSES = {name: (cls, spec) for cls, (name, spec) in _PACKET_JSON.items()}
-
-
-def _to_obj(value: object, spec: tuple, obj: dict) -> dict:
-    for name, to_json, _ in spec:
-        field_value = getattr(value, name)
-        obj[name] = field_value if to_json is None else to_json(field_value)
-    return obj
-
-
-def _from_obj(cls: type, spec: tuple, obj: dict) -> object:
-    # A key that an older trace omits takes the field's default.
-    return cls(**{name: obj[name] if from_json is None else from_json(obj[name])
-                  for name, _, from_json in spec if name in obj})
-
-
-def packet_to_obj(packet: Packet) -> dict:
-    """JSON-ready form of a packet; byte fields are lowercase hex."""
-    if type(packet) not in _PACKET_JSON:
-        raise ValueError(f"unserializable packet {packet!r}")
-    name, spec = _PACKET_JSON[type(packet)]
-    return _to_obj(packet, spec, {"type": name})
-
-
-def packet_from_obj(obj: dict) -> Packet:
-    kind = obj["type"]
-    if kind not in _PACKET_CLASSES:
-        raise ValueError(f"unknown packet type {kind!r}")
-    return _from_obj(*_PACKET_CLASSES[kind], obj)  # type: ignore[return-value]
-
-
-def event_to_obj(event: TraceEvent) -> dict:
-    return {"record": "event", "seq": event.seq, "t_ms": event.t_ms,
-            "session": event.session, "kind": event.kind,
-            "packet": None if event.packet is None else packet_to_obj(event.packet),
-            "raw": _hex(event.raw), "annotations": list(event.annotations),
-            "auto": event.auto, "note": event.note}
-
-
-def event_from_obj(obj: dict) -> TraceEvent:
-    return TraceEvent(seq=obj["seq"], t_ms=obj["t_ms"], session=obj["session"],
-                      kind=obj["kind"],
-                      packet=None if obj.get("packet") is None
-                      else packet_from_obj(obj["packet"]),
-                      raw=_unhex(obj.get("raw")),
-                      annotations=tuple(obj.get("annotations", ())),
-                      auto=obj.get("auto", False), note=obj.get("note", ""))
-
-
-def trace_lines(trace: Trace) -> Iterator[str]:
-    """Yield the JSONL lines one at a time: header, events in seq order, outcome.
-
-    Each line ends in a newline, so a writer can stream a trace of any
-    length without holding more than one line of it.
-    """
-    header = {"record": "trace-header", "experiment": trace.experiment_name,
-              "endpoint": trace.endpoint, "started_at": trace.started_at}
-    if trace.settle_gap_ms is not None:
-        header["settle_gap_ms"] = trace.settle_gap_ms
-    yield json.dumps(header) + "\n"
-    for event in trace.events:
-        yield json.dumps(event_to_obj(event)) + "\n"
-    outcome = {"record": "trace-outcome", "outcome": trace.outcome,
-               "detail": trace.outcome_detail}
-    if trace.settled_by is not None:
-        outcome["settled_by"] = trace.settled_by
-    yield json.dumps(outcome) + "\n"
-
-
-def trace_to_jsonl(trace: Trace) -> str:
-    """The whole trace as one JSONL string: the lines of ``trace_lines``."""
-    return "".join(trace_lines(trace))
-
-
-def trace_from_jsonl(text: str) -> Trace:
-    header: dict | None = None
-    outcome: dict | None = None
-    events: list[TraceEvent] = []
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        record = obj.get("record")
-        if record == "trace-header":
-            header = obj
-        elif record == "trace-outcome":
-            outcome = obj
-        elif record == "event":
-            events.append(event_from_obj(obj))
+            yield CorpusResult(experiment, None, liveness,
+                               skipped=f"broker dead: {liveness.detail}")
         else:
-            raise ValueError(f"line {line_no}: unknown record {record!r}")
-    if header is None or outcome is None:
-        raise ValueError("trace stream is missing its header or outcome record")
-    return Trace(experiment_name=header["experiment"], endpoint=header["endpoint"],
-                 started_at=header["started_at"], events=tuple(events),
-                 outcome=outcome["outcome"],
-                 outcome_detail=outcome.get("detail", ""),
-                 settle_gap_ms=header.get("settle_gap_ms"),
-                 settled_by=outcome.get("settled_by"))
+            yield CorpusResult(experiment, _trace_or_error(experiment, endpoint),
+                               liveness := probe_liveness(endpoint))
+
+
+def _trace_or_error(experiment: Experiment, endpoint: Endpoint) -> Trace:
+    try:
+        return run_experiment(experiment, endpoint)
+    except RunnerError as exc:
+        return Trace(experiment_name=experiment.name, endpoint=endpoint.label,
+                     started_at=time.time(), events=(),
+                     outcome=OUTCOME_RUNNER_ERROR, outcome_detail=str(exc))
+
+
+def run_corpus(experiments: list[Experiment], endpoint: Endpoint) -> list[CorpusResult]:
+    """Every result of ``run_in_turn``, in order."""
+    return list(run_in_turn(experiments, endpoint))
+

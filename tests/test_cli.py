@@ -16,6 +16,7 @@ from mqttprobe.codec import (
     Connack,
     DecodeMode,
     IncompleteFrame,
+    Pingresp,
     Puback,
     Publish,
     decode_packet,
@@ -217,18 +218,18 @@ def test_streamed_outputs_equal_the_whole_serializers(broker, tmp_path, capsys,
                                                      monkeypatch):
     # A tiny batch makes the report cross many batch boundaries.
     monkeypatch.setattr(cli, "REPORT_BATCH", 7)
-    results, reports = [], []
-    json_report = cli._json_report
+    traces, reports = [], []
+    run_experiment, json_report = runner.run_experiment, cli._json_report
 
-    def recording_run_corpus(experiments, endpoint):
-        results.extend(runner.run_corpus(experiments, endpoint))
-        return results
+    def recording_run_experiment(experiment, endpoint):
+        traces.append(run_experiment(experiment, endpoint))
+        return traces[-1]
 
     def recording_json_report(*args):
         reports.append(json_report(*args))
         return reports[-1]
 
-    monkeypatch.setattr(cli, "run_corpus", recording_run_corpus)
+    monkeypatch.setattr(runner, "run_experiment", recording_run_experiment)
     monkeypatch.setattr(cli, "_json_report", recording_json_report)
     path = _write_experiment(tmp_path, name="stream", steps=[
         {"action": "subscribe", "session": "f", "filter": "t/#", "qos": 2,
@@ -243,10 +244,10 @@ def test_streamed_outputs_equal_the_whole_serializers(broker, tmp_path, capsys,
                    "--traces", str(traces_dir), "--output", str(output))
     stdout = capsys.readouterr().out
     assert code == 0
-    (result,) = results
-    assert len(result.trace.events) > 5
+    (trace,) = traces
+    assert len(trace.events) > 5
     written = (traces_dir / "stream.jsonl").read_text(encoding="utf-8")
-    assert written == runner.trace_to_jsonl(result.trace)
+    assert written == runner.trace_to_jsonl(trace)
     (report,) = reports
     assert output.read_text(encoding="utf-8") == stdout
     assert stdout == json.dumps(report, indent=2) + "\n"
@@ -281,6 +282,53 @@ def test_trace_writer_streams_a_large_trace(tmp_path):
     assert peak < 2 << 20, f"writing a {path.stat().st_size} byte trace peaked at {peak} bytes"
     with path.open(encoding="utf-8") as handle:
         assert sum(1 for _ in handle) == len(events) + 2
+
+
+def test_run_holds_one_trace_at_a_time(tmp_path, monkeypatch, capsys):
+    # Each experiment is written and judged before the next one runs, and
+    # then its events are dropped: two large traces never share memory.
+    sizes = []
+
+    def large_trace(experiment, endpoint):
+        before = tracemalloc.get_traced_memory()[0]
+        events = tuple(TraceEvent(seq=i, t_ms=i / 10, session="f", kind=K_RECEIVED,
+                                  packet=Pingresp(), raw=b"\xd0\x00")
+                       for i in range(50_000))
+        sizes.append(tracemalloc.get_traced_memory()[0] - before)
+        return Trace(experiment_name=experiment.name, endpoint=endpoint.label,
+                     started_at=0.0, events=events, outcome="completed")
+
+    monkeypatch.setattr(runner, "run_experiment", large_trace)
+    monkeypatch.setattr(runner, "probe_liveness", lambda endpoint: Liveness(True))
+    monkeypatch.setattr(cli, "probe_liveness", lambda endpoint: Liveness(True))
+    paths = [_write_experiment(tmp_path, name=name) for name in ("first", "second")]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = run_cli("run", "--target", "127.0.0.1:1", "--format", "md",
+                       "--experiment", str(paths[0]), "--experiment", str(paths[1]))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "`first`" in out and "`second`" in out
+    assert len(sizes) == 2
+    assert peak < 1.5 * sizes[0], f"peak {peak} bytes for traces of {sizes} bytes"
+
+
+def test_duplicate_experiment_names_exit_one_before_any_probe(tmp_path, monkeypatch,
+                                                              capsys):
+    # Both would write one trace file and share one profile entry.
+    probes = []
+    monkeypatch.setattr(cli, "probe_liveness",
+                        lambda endpoint: probes.append(endpoint) or Liveness(True))
+    path = _write_experiment(tmp_path)
+    code = run_cli("run", "--target", "127.0.0.1:1",
+                   "--experiment", str(path), "--experiment", str(path))
+    assert code == 1
+    assert probes == []
+    assert "'ping-once' is used twice" in capsys.readouterr().err
 
 
 def test_settle_override_applies(broker, tmp_path, capsys):

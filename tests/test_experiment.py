@@ -86,6 +86,19 @@ def test_duplicate_session_declaration():
         parse_experiment(_doc(sessions=[{"id": "f"}, {"id": "f"}]))
 
 
+@pytest.mark.parametrize("name", ["../escape", "/abs/x", "a/b", "a\\b", "nul\x00", ".", ".."])
+def test_name_that_is_not_a_plain_file_name_is_rejected(name):
+    # The name becomes the trace file name inside --traces DIR.
+    with pytest.raises(SchemaError) as exc:
+        parse_experiment(_doc(name=name))
+    assert exc.value.path == "name"
+
+
+@pytest.mark.parametrize("name", ["a.b", "...", ".hidden", "é 中"])
+def test_name_with_dots_or_non_ascii_is_accepted(name):
+    assert parse_experiment(_doc(name=name)).name == name
+
+
 def test_unknown_key_names_its_path():
     with pytest.raises(SchemaError) as exc:
         parse_experiment(_doc(steps=[

@@ -38,7 +38,15 @@ from mqttprobe.experiment import (
     parse_experiment,
     render_experiment,
 )
-from mqttprobe.runner import packet_from_obj, packet_to_obj
+from mqttprobe.trace import (
+    K_RECEIVED,
+    OUTCOME_COMPLETED,
+    Trace,
+    TraceEvent,
+    packet_from_obj,
+    packet_to_obj,
+    trace_lines,
+)
 from genpackets import random_valid_packet
 
 # (packet, wire hex, trace JSON line); Raw is emitted verbatim.
@@ -113,6 +121,13 @@ def test_packet_wire_and_trace_json_are_pinned(packet, wire, line):
     assert encode_packet(packet).hex() == wire
     assert json.dumps(packet_to_obj(packet)) == line
     assert packet_from_obj(json.loads(line)) == packet
+    event = TraceEvent(seq=3, t_ms=1.5, session="f", kind=K_RECEIVED,
+                       packet=packet, raw=bytes.fromhex(wire))
+    trace = Trace("pinned", "synthetic:1883", 0.0, (event,), OUTCOME_COMPLETED)
+    assert list(trace_lines(trace))[1] == (
+        '{"record": "event", "seq": 3, "t_ms": 1.5, "session": "f", '
+        f'"kind": "received", "packet": {line}, "raw": "{wire}", '
+        '"annotations": [], "auto": false, "note": ""}\n')
 
 
 def test_every_packet_class_is_pinned():
