@@ -6,7 +6,8 @@ the bundled reference broker), corpus (inspect the built-in corpus).
 
 Every flag with an environment twin reads it as its default:
 MQTTPROBE_TARGET, MQTTPROBE_FORMAT, MQTTPROBE_SETTLE_MS,
-MQTTPROBE_FAIL_ON, MQTTPROBE_HOST, MQTTPROBE_PORT.
+MQTTPROBE_FAIL_ON, MQTTPROBE_HOST, MQTTPROBE_PORT.  A twin's value is
+checked as the flag's would be.
 
 Exit codes: 0 clean, 1 local error (unreachable target, bad arguments,
 bind failure), 2 anomalies at or above the --fail-on threshold.
@@ -27,7 +28,8 @@ from collections.abc import Iterable
 
 from . import __version__, oracle, profiles, refbroker
 from .corpus import builtin_corpus, corpus_by_name, corpus_hash
-from .experiment import Experiment, ExperimentError, parse_experiment, render_experiment
+from .experiment import (MAX_SETTLE_MS, Experiment, ExperimentError, parse_experiment,
+                         render_experiment)
 from .oracle import (
     SEVERITY_BY_CODE,
     BehaviorProfile,
@@ -72,8 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="FILE", help="experiment JSON file (repeatable)")
     run_p.add_argument("--format", choices=("json", "md"),
                        default=_env("FORMAT", "md"))
-    run_p.add_argument("--settle-ms", type=int,
-                       default=_int_env("SETTLE_MS"), metavar="MS",
+    # A string default (an environment twin) goes through ``type`` too.
+    run_p.add_argument("--settle-ms", type=_settle_ms,
+                       default=_env("SETTLE_MS"), metavar="MS",
                        help="override every experiment's settle window")
     run_p.add_argument("--fail-on", choices=("warning", "dos", "critical"),
                        default=_env("FAIL_ON", "dos"),
@@ -94,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser("serve", help="run the reference broker")
     serve_p.add_argument("--host", default=_env("HOST", "127.0.0.1"))
-    serve_p.add_argument("--port", type=int, default=_int_env("PORT", 1883))
+    serve_p.add_argument("--port", type=int, default=_env("PORT", "1883"))
 
     corpus_p = sub.add_parser("corpus", help="inspect the built-in corpus")
     corpus_p.add_argument("--show", metavar="NAME",
@@ -104,14 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _int_env(name: str, default: int | None = None) -> int | None:
-    raw = _env(name)
-    if raw is None:
-        return default
+def _settle_ms(text: str) -> int:
+    """An integer within the bound an experiment document's settle_ms keeps."""
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        return default
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value <= MAX_SETTLE_MS:
+        raise argparse.ArgumentTypeError(f"{value} is outside 0..{MAX_SETTLE_MS}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,8 +23,10 @@ session is settled: closed, or holding every reply its packets call for
 PUBREL for a PUBREC it sent) while every delivery the script model
 expects has arrived.  In a script that steps outside the protocol only
 a close settles a session: the broker's answer to the violation is the
-question.  ``wait`` steps are literal.  The trace records the gap and
-which of ``closed``, ``quiet`` or ``cap`` ended the window.
+question.  The trace records the gap and which of ``closed``, ``quiet``
+or ``cap`` ended the window.  A ``wait`` step is literal, except that
+one followed only by other waits ends by the same rule as settle's
+``closed``: once no session is open and none holds unsent bytes.
 
 The runner never sends anything the script didn't ask for, with two
 marked exceptions (``auto=True`` on the Sent event): the lazy CONNECT
@@ -211,9 +213,14 @@ class _Run:
                 session.send_failed(
                     f"send failed: no progress for {self.endpoint.io_timeout_ms} ms")
 
-    def pump(self, until: float) -> None:
-        """Serve every socket until the monotonic ``until``."""
-        while True:
+    def pump(self, until: float, trailing: bool = False) -> None:
+        """Serve every socket until the monotonic ``until``.
+
+        A ``trailing`` pump, one no wire step follows, ends once no session
+        can read or send: nothing can happen after that.
+        """
+        sessions = self.sessions.values()
+        while not trailing or any(s.reading or s.out for s in sessions):
             self.poll(until - time.monotonic())
             if time.monotonic() >= until:
                 return
@@ -532,11 +539,14 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint) -> Trace:
     run = _Run(experiment, endpoint)
     sessions = run.sessions
     steps = expand_steps(experiment)
+    tail = len(steps)  # steps[tail:] are all waits
+    while tail and isinstance(steps[tail - 1], WaitStep):
+        tail -= 1
     try:
-        for step in steps:
+        for index, step in enumerate(steps):
             session = sessions[step.session]
             if isinstance(step, WaitStep):
-                run.pump(time.monotonic() + step.ms / 1000)
+                run.pump(time.monotonic() + step.ms / 1000, trailing=index >= tail)
             elif isinstance(step, SpliceNextStep):
                 session.pending_splice = step
             elif isinstance(step, ConnectStep):

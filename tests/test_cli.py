@@ -342,6 +342,40 @@ def test_settle_override_applies(broker, tmp_path, capsys):
     assert time.monotonic() - t0 < 5
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["run", "--target", "127.0.0.1:1", "--corpus", "--settle-ms", "-5"], {}),
+    (["run", "--target", "127.0.0.1:1", "--corpus", "--settle-ms", "600001"], {}),
+    (["run", "--target", "127.0.0.1:1", "--corpus", "--settle-ms", "abc"], {}),
+    (["run", "--target", "127.0.0.1:1", "--corpus"], {"MQTTPROBE_SETTLE_MS": "abc"}),
+    (["run", "--target", "127.0.0.1:1", "--corpus"], {"MQTTPROBE_SETTLE_MS": "-5"}),
+    (["serve"], {"MQTTPROBE_PORT": "abc"}),
+], ids=["negative", "over-max", "not-int", "env-not-int", "env-negative", "port-env"])
+def test_bad_settle_or_port_exits_one_before_any_probe(argv, env, monkeypatch, capsys):
+    # A negative settle window would cut QoS 2 handshakes short and report
+    # lost messages against a conformant broker.
+    calls = []
+    monkeypatch.setattr(cli, "probe_liveness", lambda endpoint: calls.append("probe"))
+    monkeypatch.setattr(cli.refbroker, "serve", lambda **kw: calls.append("serve"))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run_cli(*argv) == 1
+    assert calls == []
+    assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "600000"])
+def test_settle_bounds_are_accepted_from_flag_and_environment(value, monkeypatch):
+    assert cli.build_parser().parse_args(["run", "--settle-ms", value]).settle_ms == int(value)
+    monkeypatch.setenv("MQTTPROBE_SETTLE_MS", value)
+    assert cli.build_parser().parse_args(["run"]).settle_ms == int(value)
+
+
+def test_port_environment_twin_is_an_integer(monkeypatch):
+    assert cli.build_parser().parse_args(["serve"]).port == 1883
+    monkeypatch.setenv("MQTTPROBE_PORT", "18830")
+    assert cli.build_parser().parse_args(["serve"]).port == 18830
+
+
 # ---------------------------------------------------------------------------
 # corpus subcommand
 

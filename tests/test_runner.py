@@ -8,7 +8,8 @@ import time
 import pytest
 
 from mqttprobe import corpus, runner
-from mqttprobe.codec import Connack, Connect, Disconnect, Publish, Raw, encode_packet
+from mqttprobe.codec import (Connack, Connect, Disconnect, Publish, Raw, Subscribe,
+                             encode_packet)
 from mqttprobe.experiment import parse_experiment
 from mqttprobe.runner import (
     Endpoint,
@@ -456,6 +457,98 @@ def test_settle_ends_at_once_when_the_peer_closes():
     assert time.monotonic() - started < 1.0
     assert trace.settled_by == runner.SETTLED_CLOSED
     assert any(e.kind == K_CLOSED_BY_PEER for e in trace.events)
+
+
+# ---------------------------------------------------------------------------
+# A trailing wait ends once no session can read or send
+
+def test_trailing_wait_ends_when_the_peer_hangs_up_after_connect():
+    peer = OnePeer(lambda conn, first: None)
+    exp = _exp({
+        "name": "hangup", "sessions": [{"id": "f"}], "settle_ms": 5000,
+        "steps": [{"action": "connect", "session": "f"},
+                  {"action": "wait", "session": "f", "ms": 5000}],
+    })
+    started = time.monotonic()
+    trace = run_experiment(exp, peer.endpoint())
+    assert time.monotonic() - started < 1.0
+    assert trace.settled_by == runner.SETTLED_CLOSED
+    assert trace.events[-1].kind == K_CLOSED_BY_PEER
+
+
+@pytest.mark.parametrize("delay_ms", [50, 150])
+def test_trailing_wait_ends_at_a_late_close(delay_ms):
+    def connack_then_close(conn, first):
+        conn.sendall(encode_packet(Connack(session_present=False, return_code=0)))
+        time.sleep(delay_ms / 1000)
+
+    peer = OnePeer(connack_then_close)
+    exp = _exp({
+        "name": "late-close", "sessions": [{"id": "f"}], "settle_ms": 5000,
+        "steps": [{"action": "connect", "session": "f"},
+                  {"action": "wait", "session": "f", "ms": 300}],
+    })
+    started = time.monotonic()
+    trace = run_experiment(exp, peer.endpoint())
+    elapsed = time.monotonic() - started
+    received = [e.packet for e in trace.events if e.kind == K_RECEIVED]
+    assert received == [Connack(session_present=False, return_code=0)]
+    closed = trace.events[-1]
+    assert closed.kind == K_CLOSED_BY_PEER and closed.t_ms >= delay_ms
+    # The run ends shortly after the close, not when the 300 ms run out.
+    assert elapsed - closed.t_ms / 1000 < 0.1
+    assert elapsed < 0.3
+    assert trace.settled_by == runner.SETTLED_CLOSED
+
+
+def test_trailing_wait_is_literal_while_a_session_is_open(endpoint):
+    # The refbroker hangs up on "bad" for its invalid filter; "ok" stays open.
+    exp = _exp({
+        "name": "one-open", "sessions": [{"id": "ok"}, {"id": "bad"}],
+        "settle_ms": 100,
+        "steps": [{"action": "connect", "session": "ok"},
+                  {"action": "subscribe", "session": "bad",
+                   "filter": "fuzz/#/invalid", "qos": 0},
+                  {"action": "wait", "session": "ok", "ms": 300}],
+    })
+    started = time.monotonic()
+    trace = run_experiment(exp, endpoint)
+    assert time.monotonic() - started >= 0.3
+    assert [e.session for e in trace.events if e.kind == K_CLOSED_BY_PEER] == ["bad"]
+    # The invalid filter steps outside the protocol: only a close settles.
+    assert trace.settled_by == runner.SETTLED_CAP
+
+
+def test_wait_before_a_later_connect_is_literal(endpoint):
+    exp = _exp({
+        "name": "reopen", "sessions": [{"id": "f"}], "settle_ms": 100,
+        "steps": [{"action": "subscribe", "session": "f",
+                   "filter": "fuzz/#/invalid", "qos": 0},
+                  {"action": "wait", "session": "f", "ms": 300},
+                  {"action": "connect", "session": "f"}],
+    })
+    trace = run_experiment(exp, endpoint)
+    scripted = [e for e in trace.events if e.kind == K_SENT and not e.auto]
+    assert [type(e.packet) for e in scripted] == [Subscribe, Connect]
+    closed = [e for e in trace.events if e.kind == K_CLOSED_BY_PEER]
+    assert len(closed) == 1 and closed[0].t_ms < scripted[1].t_ms
+    assert scripted[1].t_ms - scripted[0].t_ms >= 300
+    # The invalid filter steps outside the protocol: only a close settles.
+    assert trace.settled_by == runner.SETTLED_CAP
+
+
+def test_corpus_settles_as_pinned(endpoint):
+    # A quiet settle silently turned into a cap would cost each scenario
+    # its full settle_ms; a closed one would hide a broker that stays open.
+    closed = {"keepalive_as_string", "invalid_wildcard_subscribe",
+              "invalid_wildcard_publish", "topic_utf16", "bad_protocol_name",
+              "bad_protocol_level"}
+    settled = {r.experiment.name: r.trace.settled_by
+               for r in run_corpus(corpus.builtin_corpus(), endpoint)}
+    want = {name: runner.SETTLED_CLOSED if name in closed else runner.SETTLED_QUIET
+            for name in corpus.corpus_by_name()}
+    want["non_utf8_client_id"] = runner.SETTLED_CAP
+    assert settled == want
 
 
 def test_trace_jsonl_without_settle_fields_still_loads():
