@@ -24,7 +24,8 @@ import logging
 import os
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__, oracle, profiles, refbroker
 from .corpus import builtin_corpus, corpus_by_name, corpus_hash
@@ -44,13 +45,12 @@ from .oracle import (
     profile_to_obj,
 )
 from .runner import Endpoint, RunnerError, probe_liveness, run_corpus, run_in_turn
-from .trace import CorpusResult, trace_lines
+from .trace import CorpusResult
 
 EXIT_CLEAN = 0
 EXIT_LOCAL_ERROR = 1
 EXIT_ANOMALIES = 2
-# Encoder chunks joined into one write of the report.
-REPORT_BATCH = 4096
+JSON_CHUNK_ROWS = 64  # strings (a key, a scalar, a row of scalars) per report write
 
 
 def _env(name: str, default: str | None = None) -> str | None:
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--format", choices=("json", "md"),
                        default=_env("FORMAT", "md"))
     # A string default (an environment twin) goes through ``type`` too.
-    run_p.add_argument("--settle-ms", type=_settle_ms,
+    run_p.add_argument("--settle-ms", type=_int_within(MAX_SETTLE_MS),
                        default=_env("SETTLE_MS"), metavar="MS",
                        help="override every experiment's settle window")
     run_p.add_argument("--fail-on", choices=("warning", "dos", "critical"),
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser("serve", help="run the reference broker")
     serve_p.add_argument("--host", default=_env("HOST", "127.0.0.1"))
-    serve_p.add_argument("--port", type=int, default=_env("PORT", "1883"))
+    serve_p.add_argument("--port", type=_int_within(65_535), default=_env("PORT", "1883"))
 
     corpus_p = sub.add_parser("corpus", help="inspect the built-in corpus")
     corpus_p.add_argument("--show", metavar="NAME",
@@ -107,15 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _settle_ms(text: str) -> int:
-    """An integer within the bound an experiment document's settle_ms keeps."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value <= MAX_SETTLE_MS:
-        raise argparse.ArgumentTypeError(f"{value} is outside 0..{MAX_SETTLE_MS}")
-    return value
+def _int_within(high: int):
+    """An argparse type: an integer in ``0..high``, as a settle_ms or a port keeps."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not 0 <= value <= high:
+            raise argparse.ArgumentTypeError(f"{value} is outside 0..{high}")
+        return value
+    return parse
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,8 +178,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_LOCAL_ERROR
 
     # map frees each full result once judged; a loop variable would hold it.
-    results, outcomes = zip(*map(lambda result: _judge(result, args.traces),
-                                 run_in_turn(experiments, endpoint)))
+    results, outcomes = zip(*map(_judge, run_in_turn(experiments, endpoint,
+                                                     args.traces or None)))
     label = args.label or args.target
     profile = fingerprint_outcomes(results, outcomes, broker_label=label)
 
@@ -186,48 +188,66 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.format == "json":
         report = _json_report(args.target, results, outcomes, profile,
                               args.fail_on, exit_code)
-        chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(report), ("\n",))
+        chunks = itertools.chain(json_chunks(report), ("\n",))
     else:
         chunks = [_md_report(label, results, outcomes, profile)]
     _write_report(chunks, args.output)
     return exit_code
 
 
-def _judge(result: CorpusResult, traces: str | None) -> tuple[CorpusResult, ScenarioOutcome | None]:
-    """Write the trace, then evaluate; keep what the reports read, not the events."""
-    if traces:
-        write_traces(traces, [result])
+def _judge(result: CorpusResult) -> tuple[CorpusResult, ScenarioOutcome | None]:
+    """Evaluate; keep what the reports read, not the events."""
     outcome = evaluate_result(result)
     if result.trace is not None:
         result = dataclasses.replace(result, trace=dataclasses.replace(result.trace, events=()))
     return result, outcome
 
 
-def write_traces(directory: str, results: list[CorpusResult]) -> None:
-    """Write one JSONL file per traced experiment, line by line as it is encoded."""
-    os.makedirs(directory, exist_ok=True)
-    for result in results:
-        if result.trace is None:
-            continue
-        path = os.path.join(directory, f"{result.experiment.name}.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(trace_lines(result.trace))
-
-
 def _write_report(chunks: Iterable[str], output: str | None) -> None:
-    """Write the report to stdout and, if given, to ``output`` as it is encoded.
+    """Write the report to stdout and, if given, to ``output`` chunk by chunk."""
+    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext() as copy:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+            if copy is not None:
+                copy.write(chunk)
 
-    The json encoder yields millions of tiny chunks for a large report;
-    they are joined REPORT_BATCH at a time, so the whole text is never held.
-    """
-    chunks = iter(chunks)
-    with contextlib.ExitStack() as stack:
-        sinks = [sys.stdout]
-        if output:
-            sinks.append(stack.enter_context(open(output, "w", encoding="utf-8")))
-        while batch := "".join(itertools.islice(chunks, REPORT_BATCH)):
-            for sink in sinks:
-                sink.write(batch)
+
+# Exact types whose JSON text is cheap to write; ``json.dumps`` writes the rest.
+_SCALAR_TEXT = {str: _json_str, int: int.__repr__}
+
+
+def _json_rows(value: object, pad: str, step: str, rows: list[str]) -> Iterator[str]:
+    """Append ``value``'s text at ``pad`` to ``rows``, joining rows of str and int; yield chunks."""
+    inner = pad + step
+    if isinstance(value, dict) and value:
+        brackets, keys, value = "{}", [_json_str(key) + ": " for key in value], value.values()
+    elif isinstance(value, (list, tuple)) and value:
+        try:
+            texts = [_SCALAR_TEXT[type(item)](item) for item in value]
+        except KeyError:  # it holds a container, or another scalar
+            brackets, keys = "[]", itertools.repeat("")
+        else:
+            rows.append(f"[{inner}{(',' + inner).join(texts)}{pad}]")
+            return
+    else:
+        rows.append(_SCALAR_TEXT.get(type(value), json.dumps)(value))
+        return
+    separator = brackets[0] + inner
+    for key, item in zip(keys, value):
+        rows.append(separator + key)
+        yield from _json_rows(item, inner, step, rows)
+        separator = "," + inner
+        if len(rows) >= JSON_CHUNK_ROWS:
+            yield "".join(rows)
+            rows.clear()
+    rows.append(pad + brackets[1])
+
+
+def json_chunks(value: object) -> Iterator[str]:
+    """``json.dumps(value, indent=2)`` in chunks of JSON_CHUNK_ROWS strings; keys are str."""
+    rows: list[str] = []
+    yield from _json_rows(value, "\n", "  ", rows)
+    yield "".join(rows)
 
 
 def _worst_severity(profile: BehaviorProfile) -> Severity:
@@ -256,7 +276,7 @@ def _json_report(target: str, results: list[CorpusResult],
         if result.trace is not None:
             entry["trace_outcome"] = result.trace.outcome
             if outcome is not None:
-                entry["outcome"] = outcome_to_obj(outcome)
+                entry["outcome"] = outcome_to_obj(outcome, profile.outcomes[entry["experiment"]])
         scenarios.append(entry)
     report = _report_meta(target)
     report.update({"fail_on": fail_on, "exit_code": exit_code,

@@ -159,15 +159,11 @@ def _payload_text(payload: bytes, limit: int = 24) -> str:
 
 # --- trace views -----------------------------------------------------------
 
-def _received(trace: Trace) -> list[TraceEvent]:
-    return [e for e in trace.events if e.kind == K_RECEIVED]
-
-
-def _deliveries(trace: Trace, subscriber_sessions: set[str]) -> list[TraceEvent]:
+def _deliveries(received: list[TraceEvent], subscriber_sessions: set[str]) -> list[TraceEvent]:
     """Received publishes on subscriber sessions, retransmissions collapsed."""
     out: list[TraceEvent] = []
     seen: set[tuple[str, int, bytes, bytes]] = set()
-    for event in _received(trace):
+    for event in received:
         packet = event.packet
         if not isinstance(packet, Publish) or event.session not in subscriber_sessions:
             continue
@@ -188,14 +184,15 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
         raise TraceMismatchError(
             f"trace is for {trace.experiment_name!r}, not {experiment.name!r}")
     model = experiment.model
-    delivery_events = _deliveries(trace, model.subscriber_sessions)
+    received = [e for e in trace.events if e.kind == K_RECEIVED]
+    delivery_events = _deliveries(received, model.subscriber_sessions)
     delivered = [(e.packet.topic, e.packet.payload) for e in delivery_events]  # type: ignore[union-attr]
     closes = peer_closes(trace.events)
     conformant = experiment.input_conformant
     anomalies: list[Anomaly] = []
 
     ack_flow: list[tuple[str, int]] = []
-    for event in _received(trace):
+    for event in received:
         packet = event.packet
         if isinstance(packet, (Puback, Pubrec, Pubrel, Pubcomp, Suback)):
             ack_flow.append((type(packet).__name__.lower(), packet.packet_id))
@@ -215,13 +212,13 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
                            key=lambda i: (i[0], i[1])):
         want = expected_counts.get(identity, 0)
         got = len(delivery_seqs.get(identity, ()))
-        label = _payload_text(identity[1])
         if got < want and identity not in model.qos0_identities:
             anomalies.append(make_anomaly(
                 LOST_MESSAGE, tuple(sent_seqs.get(identity, (0,))),
-                f"payload {label} was published {want} time(s) with qos>0 "
+                f"payload {_payload_text(identity[1])} was published {want} time(s) with qos>0 "
                 f"but delivered {got} time(s)"))
         elif got > want:
+            label = _payload_text(identity[1])
             excess_seqs = tuple(delivery_seqs[identity][want:])
             if suppressed_counts.get(identity, 0) > 0:
                 anomalies.append(make_anomaly(
@@ -251,7 +248,7 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     # R3: PUBCOMP received before PUBREC for the same packet id.
     first_pubrec: dict[tuple[str, int], int] = {}
     first_pubcomp: dict[tuple[str, int], int] = {}
-    for event in _received(trace):
+    for event in received:
         packet = event.packet
         if isinstance(packet, Pubrec):
             first_pubrec.setdefault((event.session, packet.packet_id), event.seq)
@@ -267,9 +264,9 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     # R4: all forwards deferred past the acks, then completed.
     if delivery_events:
         first_forward = delivery_events[0].seq
-        ack_seqs = [e.seq for e in _received(trace)
+        ack_seqs = [e.seq for e in received
                     if isinstance(e.packet, (Puback, Pubrec))]
-        comp_seqs = [e.seq for e in _received(trace) if isinstance(e.packet, Pubcomp)]
+        comp_seqs = [e.seq for e in received if isinstance(e.packet, Pubcomp)]
         last_forward = delivery_events[-1].seq
         late_comps = [s for s in comp_seqs if s > last_forward]
         if ack_seqs and late_comps and first_forward > max(ack_seqs):
@@ -282,7 +279,7 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     # R5: granted exact-topic subscription that never produced a delivery.
     closed_sessions = {e.session for e in closes}
     suback_ids = {(e.session, e.packet.packet_id)  # type: ignore[union-attr]
-                  for e in _received(trace)
+                  for e in received
                   if isinstance(e.packet, Suback)
                   and any(rc != 0x80 for rc in e.packet.return_codes)}
     for session, filters in sorted(model.exact_filters.items()):
@@ -293,7 +290,7 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
                 continue
             matching = [i for i in model.expected if i[0] == topic_filter]
             if matching and not any(i[0] == topic_filter for i in delivered):
-                suback_seq = next(e.seq for e in _received(trace)
+                suback_seq = next(e.seq for e in received
                                   if isinstance(e.packet, Suback)
                                   and e.session == session
                                   and e.packet.packet_id == sub_packet_id)
@@ -309,7 +306,7 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
         got_pubcomp = any(isinstance(e.packet, Pubcomp)
                           and e.packet.packet_id == packet_id
                           and e.session == session
-                          for e in _received(trace))
+                          for e in received)
         if got_pubcomp:
             continue
         orphan_rejected = True
@@ -439,20 +436,21 @@ def _delivered_text(summary: ScenarioSummary) -> str:
 
 def anomaly_to_obj(anomaly: Anomaly) -> dict:
     return {"code": anomaly.code, "severity": anomaly.severity.label,
-            "evidence": list(anomaly.evidence), "explanation": anomaly.explanation}
+            "evidence": anomaly.evidence, "explanation": anomaly.explanation}
 
 
-def outcome_to_obj(outcome: ScenarioOutcome) -> dict:
+def outcome_to_obj(outcome: ScenarioOutcome, summary: ScenarioSummary) -> dict:
+    """Shares the outcome's tuples, and its ``summary``'s hex pairs as the deliveries."""
     return {"experiment": outcome.experiment_name,
-            "delivered": [[t.hex(), p.hex()] for t, p in outcome.delivered],
-            "ack_flow": [[kind, packet_id] for kind, packet_id in outcome.ack_flow],
+            "delivered": summary.delivered,
+            "ack_flow": outcome.ack_flow,
             "anomalies": [anomaly_to_obj(a) for a in outcome.anomalies],
             "aborted": outcome.aborted}
 
 
 def summary_to_obj(summary: ScenarioSummary) -> dict:
-    return {"delivered": [list(pair) for pair in summary.delivered],
-            "anomalies": list(summary.anomalies),
+    return {"delivered": summary.delivered,
+            "anomalies": summary.anomalies,
             "aborted": summary.aborted,
             "skipped": summary.skipped}
 

@@ -36,6 +36,10 @@ inbound publishes, PUBCOMP for inbound PUBREL) unless the session
 declares ``auto_ack: false``.  In particular the runner never answers
 a PUBREC: releasing a qos 2 publish is always a scripted decision.
 
+With a trace sink the runner writes the header first; before each poll of
+a ``wait`` step or settle, the events so far, SPILL_CHUNK at a time while
+over SPILL_MARGIN_S remain; after the last poll, the rest and the outcome.
+
 RunnerError is reserved for local faults (refused connection, DNS,
 unencodable script); peer disconnects and silence are trace outcomes,
 not errors.
@@ -43,8 +47,10 @@ not errors.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
 import selectors
 import socket
 import time
@@ -52,6 +58,7 @@ import uuid
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
+from typing import TextIO
 
 from . import codec
 from .codec import (
@@ -91,7 +98,8 @@ from .experiment import (
 from .trace import (K_CLOSED_BY_PEER, K_CONNECTED, K_RECEIVED, K_SENT,  # noqa: F401
                     K_TCP_ERROR, OUTCOME_ABORTED_BY_PEER, OUTCOME_COMPLETED,
                     OUTCOME_RUNNER_ERROR, CorpusResult, Liveness, Trace, TraceEvent,
-                    peer_closes, trace_from_jsonl, trace_to_jsonl)
+                    event_line, header_line, outcome_line, peer_closes,
+                    trace_from_jsonl, trace_lines, trace_to_jsonl)
 
 SETTLED_CLOSED = "closed"
 SETTLED_QUIET = "quiet"
@@ -107,6 +115,9 @@ READ_INTERVAL_S = 0.01
 # not predict (a duplicate, a late retransmission) trailing the last
 # expected one.
 SETTLE_GAP_MS = 100
+# 64 publish events encode in about 0.2 ms, or 0.8 ms at 4 KiB each.
+SPILL_CHUNK = 64
+SPILL_MARGIN_S = 0.002
 
 
 class RunnerError(Exception):
@@ -176,8 +187,10 @@ def _reply_owed(packet: Packet) -> type | None:
 class _Run:
     """The selector loop and event log one experiment shares across sessions."""
 
-    def __init__(self, experiment: Experiment, endpoint: Endpoint):
+    def __init__(self, experiment: Experiment, endpoint: Endpoint, sink: TextIO | None):
         self.endpoint = endpoint
+        self.sink = sink
+        self.written = 0             # events already written to ``sink``
         self.selector = selectors.DefaultSelector()
         self.t0 = time.monotonic()
         self.last_event_at = self.t0
@@ -213,6 +226,14 @@ class _Run:
                 session.send_failed(
                     f"send failed: no progress for {self.endpoint.io_timeout_ms} ms")
 
+    def spill(self, deadline: float) -> None:
+        """Write recorded events to the sink while ``deadline`` is SPILL_MARGIN_S away."""
+        while self.sink is not None and self.written < len(self.events) \
+                and time.monotonic() < deadline - SPILL_MARGIN_S:
+            chunk = self.events[self.written:self.written + SPILL_CHUNK]
+            self.sink.writelines(map(event_line, chunk))
+            self.written += len(chunk)
+
     def pump(self, until: float, trailing: bool = False) -> None:
         """Serve every socket until the monotonic ``until``.
 
@@ -221,6 +242,7 @@ class _Run:
         """
         sessions = self.sessions.values()
         while not trailing or any(s.reading or s.out for s in sessions):
+            self.spill(until)
             self.poll(until - time.monotonic())
             if time.monotonic() >= until:
                 return
@@ -254,6 +276,7 @@ class _Run:
                     deadline, reason = quiet_at, SETTLED_QUIET
             if time.monotonic() >= deadline:
                 return reason
+            self.spill(deadline)
             self.poll(deadline - time.monotonic())
 
     def close(self) -> None:
@@ -527,16 +550,18 @@ def check_reachable(endpoint: Endpoint) -> None:
             f"cannot reach {endpoint.label}: {exc}") from exc
 
 
-def run_experiment(experiment: Experiment, endpoint: Endpoint) -> Trace:
+def run_experiment(experiment: Experiment, endpoint: Endpoint, sink: TextIO | None = None) -> Trace:
     """Execute one experiment and return its full trace.
 
     The endpoint is checked for plain TCP reachability first, so even an
     experiment that never touches the wire fails loudly against a dead
-    target instead of reporting a vacuous success.
+    target instead of reporting a vacuous success.  A ``sink`` gets its JSONL.
     """
     check_reachable(endpoint)
     started_at = time.time()
-    run = _Run(experiment, endpoint)
+    run = _Run(experiment, endpoint, sink)
+    if sink is not None:
+        sink.write(header_line(experiment.name, endpoint.label, started_at, SETTLE_GAP_MS))
     sessions = run.sessions
     steps = expand_steps(experiment)
     tail = len(steps)  # steps[tail:] are all waits
@@ -577,6 +602,9 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint) -> Trace:
                or any(e.seq <= sessions[e.session].steps_done_seq
                       for e in peer_closes(events)))
     outcome = OUTCOME_ABORTED_BY_PEER if aborted else OUTCOME_COMPLETED
+    if sink is not None:
+        run.spill(math.inf)
+        sink.write(outcome_line(outcome, "", settled_by))
     return Trace(experiment_name=experiment.name, endpoint=endpoint.label,
                  started_at=started_at, events=events, outcome=outcome,
                  settle_gap_ms=SETTLE_GAP_MS, settled_by=settled_by)
@@ -627,30 +655,40 @@ def probe_liveness(endpoint: Endpoint) -> Liveness:
             pass
 
 
-def run_in_turn(experiments: Iterable[Experiment],
-                endpoint: Endpoint) -> Iterator[CorpusResult]:
+def run_in_turn(experiments: Iterable[Experiment], endpoint: Endpoint,
+                trace_dir: str | None = None) -> Iterator[CorpusResult]:
     """Run experiments in order, probing liveness after each.
 
     Each result is yielded, and not held here, before the next experiment
     starts.  After a dead probe the rest are skipped, not run into a corpse.
+    With a ``trace_dir``, each run writes its trace to ``<name>.jsonl`` there.
     """
+    if trace_dir is not None:
+        os.makedirs(trace_dir, exist_ok=True)
     liveness = Liveness(True)
     for experiment in experiments:
         if not liveness.alive:
             yield CorpusResult(experiment, None, liveness,
                                skipped=f"broker dead: {liveness.detail}")
         else:
-            yield CorpusResult(experiment, _trace_or_error(experiment, endpoint),
+            yield CorpusResult(experiment, _trace_or_error(experiment, endpoint, trace_dir),
                                liveness := probe_liveness(endpoint))
 
 
-def _trace_or_error(experiment: Experiment, endpoint: Endpoint) -> Trace:
-    try:
-        return run_experiment(experiment, endpoint)
-    except RunnerError as exc:
-        return Trace(experiment_name=experiment.name, endpoint=endpoint.label,
-                     started_at=time.time(), events=(),
-                     outcome=OUTCOME_RUNNER_ERROR, outcome_detail=str(exc))
+def _trace_or_error(experiment: Experiment, endpoint: Endpoint, trace_dir: str | None) -> Trace:
+    with (contextlib.nullcontext() if trace_dir is None else
+          open(os.path.join(trace_dir, f"{experiment.name}.jsonl"), "w", encoding="utf-8")) as sink:
+        try:
+            return run_experiment(experiment, endpoint, sink=sink)
+        except RunnerError as exc:
+            trace = Trace(experiment_name=experiment.name, endpoint=endpoint.label,
+                          started_at=time.time(), events=(),
+                          outcome=OUTCOME_RUNNER_ERROR, outcome_detail=str(exc))
+            if sink is not None:  # replace what the run wrote before it failed
+                sink.seek(0)
+                sink.truncate()
+                sink.writelines(trace_lines(trace))
+            return trace
 
 
 def run_corpus(experiments: list[Experiment], endpoint: Endpoint) -> list[CorpusResult]:

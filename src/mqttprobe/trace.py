@@ -1,9 +1,9 @@
 """Traces: what one experiment run witnessed, and their JSONL form.
 
 Events are named tuples, the cheapest immutable record for the runner's
-loop to create.  ``trace_lines`` writes the bytes of the reference
+loop to create.  ``event_line`` writes the bytes of the reference
 ``json.dumps(event_to_obj(event))`` through packet writers derived from
-the dataclass fields at import.
+the dataclass fields at import, for the runner and ``trace_lines`` both.
 """
 
 from __future__ import annotations
@@ -197,31 +197,45 @@ _PACKET_TEXT = {cls: _packet_writer(cls) for cls in _PACKET_JSON}
 _PACKET_TEXT[type(None)] = lambda packet: "null"
 
 
+def header_line(experiment: str, endpoint: str, started_at: float,
+                settle_gap_ms: int | None) -> str:
+    """The ``trace-header`` record of a trace, as one line."""
+    header = {"record": "trace-header", "experiment": experiment,
+              "endpoint": endpoint, "started_at": started_at}
+    if settle_gap_ms is not None:
+        header["settle_gap_ms"] = settle_gap_ms
+    return json.dumps(header) + "\n"
+
+
+def event_line(event: TraceEvent) -> str:
+    """One event record, byte for byte ``json.dumps(event_to_obj(event))`` and a newline."""
+    seq, t_ms, session, kind, packet, raw, annotations, auto, note = event
+    raw_text = "null" if raw is None else f'"{raw.hex()}"'
+    notes = ", ".join(map(_json_str, annotations))
+    return (f'{{"record": "event", "seq": {seq!r}, "t_ms": {t_ms!r}, '
+            f'"session": {_json_str(session)}, "kind": {_json_str(kind)}, '
+            f'"packet": {_PACKET_TEXT[type(packet)](packet)}, "raw": {raw_text}, '
+            f'"annotations": [{notes}], "auto": {"true" if auto else "false"}, '
+            f'"note": {_json_str(note)}}}\n')
+
+
+def outcome_line(outcome: str, detail: str, settled_by: str | None) -> str:
+    """The closing ``trace-outcome`` record, as one line."""
+    record = {"record": "trace-outcome", "outcome": outcome, "detail": detail}
+    if settled_by is not None:
+        record["settled_by"] = settled_by
+    return json.dumps(record) + "\n"
+
+
 def trace_lines(trace: Trace) -> Iterator[str]:
     """Yield the JSONL lines one at a time: header, events in seq order, outcome.
 
     Each line ends in a newline, so a writer can stream a trace of any
-    length without holding more than one line of it.  An event line is
-    byte for byte ``json.dumps(event_to_obj(event))``.
+    length without holding more than one line of it.
     """
-    header = {"record": "trace-header", "experiment": trace.experiment_name,
-              "endpoint": trace.endpoint, "started_at": trace.started_at}
-    if trace.settle_gap_ms is not None:
-        header["settle_gap_ms"] = trace.settle_gap_ms
-    yield json.dumps(header) + "\n"
-    for seq, t_ms, session, kind, packet, raw, annotations, auto, note in trace.events:
-        raw_text = "null" if raw is None else f'"{raw.hex()}"'
-        notes = ", ".join(map(_json_str, annotations))
-        yield (f'{{"record": "event", "seq": {seq!r}, "t_ms": {t_ms!r}, '
-               f'"session": {_json_str(session)}, "kind": {_json_str(kind)}, '
-               f'"packet": {_PACKET_TEXT[type(packet)](packet)}, "raw": {raw_text}, '
-               f'"annotations": [{notes}], "auto": {"true" if auto else "false"}, '
-               f'"note": {_json_str(note)}}}\n')
-    outcome = {"record": "trace-outcome", "outcome": trace.outcome,
-               "detail": trace.outcome_detail}
-    if trace.settled_by is not None:
-        outcome["settled_by"] = trace.settled_by
-    yield json.dumps(outcome) + "\n"
+    yield header_line(trace.experiment_name, trace.endpoint, trace.started_at, trace.settle_gap_ms)
+    yield from map(event_line, trace.events)
+    yield outcome_line(trace.outcome, trace.outcome_detail, trace.settled_by)
 
 
 def trace_to_jsonl(trace: Trace) -> str:

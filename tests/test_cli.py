@@ -10,6 +10,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqttprobe import cli, corpus, runner
 from mqttprobe.codec import (
@@ -22,7 +24,8 @@ from mqttprobe.codec import (
     decode_packet,
     encode_packet,
 )
-from mqttprobe.runner import K_RECEIVED, K_SENT, CorpusResult, Liveness, Trace, TraceEvent
+from mqttprobe.runner import K_RECEIVED, K_SENT, Liveness, Trace, TraceEvent
+from mqttprobe.trace import trace_lines
 
 
 def run_cli(*argv):
@@ -216,13 +219,13 @@ def test_trace_dump_round_trips(broker, tmp_path, capsys):
 
 def test_streamed_outputs_equal_the_whole_serializers(broker, tmp_path, capsys,
                                                      monkeypatch):
-    # A tiny batch makes the report cross many batch boundaries.
-    monkeypatch.setattr(cli, "REPORT_BATCH", 7)
+    # One string a chunk makes the report cross many chunk boundaries.
+    monkeypatch.setattr(cli, "JSON_CHUNK_ROWS", 1)
     traces, reports = [], []
     run_experiment, json_report = runner.run_experiment, cli._json_report
 
-    def recording_run_experiment(experiment, endpoint):
-        traces.append(run_experiment(experiment, endpoint))
+    def recording_run_experiment(experiment, endpoint, sink=None):
+        traces.append(run_experiment(experiment, endpoint, sink=sink))
         return traces[-1]
 
     def recording_json_report(*args):
@@ -253,6 +256,47 @@ def test_streamed_outputs_equal_the_whole_serializers(broker, tmp_path, capsys,
     assert stdout == json.dumps(report, indent=2) + "\n"
 
 
+def test_runner_error_mid_run_leaves_only_the_error_trace(broker, tmp_path, capsys):
+    # The pingreq and its reply are written during the wait; the splice
+    # then fails, and the file must hold what a failed run always held.
+    path = _write_experiment(tmp_path, name="splice-fails", steps=[
+        {"action": "pingreq", "session": "f"},
+        {"action": "wait", "session": "f", "ms": 50},
+        {"action": "splice_next", "session": "f", "offset": 10, "remove": 1},
+        {"action": "pingreq", "session": "f"},
+    ])
+    traces_dir = tmp_path / "traces"
+    code = run_cli("run", "--target", f"127.0.0.1:{broker.port}", "--format", "json",
+                   "--experiment", str(path), "--traces", str(traces_dir))
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["scenarios"][0]["trace_outcome"] == "runner-error"
+    lines = (traces_dir / "splice-fails.jsonl").read_text(encoding="utf-8").splitlines()
+    header, outcome = map(json.loads, lines)
+    assert set(header) == {"record", "experiment", "endpoint", "started_at"}
+    assert header["experiment"] == "splice-fails"
+    assert outcome["outcome"] == "runner-error" and "splice failed" in outcome["detail"]
+    assert "settled_by" not in outcome
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 200, 2 ** 200), st.floats(),
+    st.sampled_from([-0.0, 1e300, float("nan"), float("inf")]),
+    # Any code point: escapes, non-ASCII and lone surrogates.
+    st.lists(st.integers(0, 0x10FFFF), max_size=8).map(lambda cps: "".join(map(chr, cps))))
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(st.text(max_size=5), children, max_size=5)),
+    max_leaves=40)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_json_writer_equals_json_dumps(value):
+    assert "".join(cli.json_chunks(value)) == json.dumps(value, indent=2)
+
+
 def test_trace_writer_streams_a_large_trace(tmp_path):
     # Building the JSONL whole before writing it peaked at about three
     # times the file size; streamed, the peak does not grow with the trace.
@@ -270,14 +314,14 @@ def test_trace_writer_streams_a_large_trace(tmp_path):
                                  raw=encode_packet(ack)))
     trace = Trace(experiment_name=experiment.name, endpoint="synthetic:1883",
                   started_at=0.0, events=tuple(events), outcome="completed")
-    result = CorpusResult(experiment, trace, Liveness(True))
+    path = tmp_path / f"{experiment.name}.jsonl"
     tracemalloc.start()
     try:
-        cli.write_traces(str(tmp_path), [result])
+        with path.open("w", encoding="utf-8") as handle:
+            handle.writelines(trace_lines(trace))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    path = tmp_path / f"{experiment.name}.jsonl"
     assert path.stat().st_size > 20 << 20
     assert peak < 2 << 20, f"writing a {path.stat().st_size} byte trace peaked at {peak} bytes"
     with path.open(encoding="utf-8") as handle:
@@ -289,7 +333,7 @@ def test_run_holds_one_trace_at_a_time(tmp_path, monkeypatch, capsys):
     # then its events are dropped: two large traces never share memory.
     sizes = []
 
-    def large_trace(experiment, endpoint):
+    def large_trace(experiment, endpoint, sink=None):
         before = tracemalloc.get_traced_memory()[0]
         events = tuple(TraceEvent(seq=i, t_ms=i / 10, session="f", kind=K_RECEIVED,
                                   packet=Pingresp(), raw=b"\xd0\x00")
@@ -349,7 +393,12 @@ def test_settle_override_applies(broker, tmp_path, capsys):
     (["run", "--target", "127.0.0.1:1", "--corpus"], {"MQTTPROBE_SETTLE_MS": "abc"}),
     (["run", "--target", "127.0.0.1:1", "--corpus"], {"MQTTPROBE_SETTLE_MS": "-5"}),
     (["serve"], {"MQTTPROBE_PORT": "abc"}),
-], ids=["negative", "over-max", "not-int", "env-not-int", "env-negative", "port-env"])
+    (["serve", "--port", "70000"], {}),
+    (["serve", "--port", "-1"], {}),
+    (["serve"], {"MQTTPROBE_PORT": "70000"}),
+    (["serve"], {"MQTTPROBE_PORT": "-1"}),
+], ids=["negative", "over-max", "not-int", "env-not-int", "env-negative", "port-env",
+        "port-over-max", "port-negative", "port-env-over-max", "port-env-negative"])
 def test_bad_settle_or_port_exits_one_before_any_probe(argv, env, monkeypatch, capsys):
     # A negative settle window would cut QoS 2 handshakes short and report
     # lost messages against a conformant broker.
@@ -368,6 +417,13 @@ def test_settle_bounds_are_accepted_from_flag_and_environment(value, monkeypatch
     assert cli.build_parser().parse_args(["run", "--settle-ms", value]).settle_ms == int(value)
     monkeypatch.setenv("MQTTPROBE_SETTLE_MS", value)
     assert cli.build_parser().parse_args(["run"]).settle_ms == int(value)
+
+
+@pytest.mark.parametrize("value", ["0", "65535"])
+def test_port_bounds_are_accepted_from_flag_and_environment(value, monkeypatch):
+    assert cli.build_parser().parse_args(["serve", "--port", value]).port == int(value)
+    monkeypatch.setenv("MQTTPROBE_PORT", value)
+    assert cli.build_parser().parse_args(["serve"]).port == int(value)
 
 
 def test_port_environment_twin_is_an_integer(monkeypatch):

@@ -1,6 +1,8 @@
 """Trace runner: sequencing invariants, failure paths, serialization."""
 
+import io
 import json
+import math
 import socket
 import threading
 import time
@@ -13,6 +15,7 @@ from mqttprobe.codec import (Connack, Connect, Disconnect, Publish, Raw, Subscri
 from mqttprobe.experiment import parse_experiment
 from mqttprobe.runner import (
     Endpoint,
+    TraceEvent,
     K_CLOSED_BY_PEER,
     K_CONNECTED,
     K_RECEIVED,
@@ -26,6 +29,7 @@ from mqttprobe.runner import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
+from mqttprobe.trace import event_line
 
 
 def _free_port():
@@ -564,3 +568,71 @@ def test_trace_jsonl_without_settle_fields_still_loads():
     assert trace.settle_gap_ms is None and trace.settled_by is None
     assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
     assert "settled_by" not in trace_to_jsonl(trace)
+
+
+# ---------------------------------------------------------------------------
+# Trace lines written while the runner waits
+
+class _CountingSink(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.batches = 0
+
+    def writelines(self, lines):
+        self.batches += 1
+        super().writelines(lines)
+
+
+def test_trace_written_during_a_multi_wait_run_equals_the_trace(endpoint):
+    exp = _exp({
+        "name": "waits", "settle_ms": 300,
+        "sessions": [{"id": "sub"}, {"id": "pub"}],
+        "steps": [
+            {"action": "subscribe", "session": "sub", "filter": "w/#", "qos": 2,
+             "packet_id": 1},
+            {"action": "publish", "session": "pub", "topic": "w/a", "payload": "a",
+             "qos": 1, "packet_id": 2},
+            {"action": "wait", "session": "pub", "ms": 30},
+            {"action": "publish", "session": "pub", "topic": "w/b", "payload": "b",
+             "qos": 2, "packet_id": 3},
+            {"action": "publish", "session": "pub", "topic": "w/c", "payload": "c"},
+            {"action": "wait", "session": "pub", "ms": 30},
+            {"action": "pingreq", "session": "sub"},
+            {"action": "wait", "session": "sub", "ms": 30},
+            {"action": "publish", "session": "pub", "topic": "w/d", "payload": "d",
+             "qos": 1, "packet_id": 4},
+            {"action": "wait", "session": "pub", "ms": 30},
+            # Settle then ends at once, so the DISCONNECTs are written after it.
+            {"action": "disconnect", "session": "sub"},
+            {"action": "disconnect", "session": "pub"},
+        ],
+    })
+    sink = _CountingSink()
+    trace = run_experiment(exp, endpoint, sink=sink)
+    assert trace.outcome == OUTCOME_COMPLETED
+    assert trace.settled_by == runner.SETTLED_CLOSED
+    assert len(trace.events) > 20
+    assert sink.getvalue() == trace_to_jsonl(trace)
+    # Each wait follows a new sent event, so each writes before it polls.
+    assert sink.batches >= 4
+
+
+def test_spill_leaves_a_short_wait_on_time(tmp_path):
+    publish = Publish(topic=b"spill/t", payload=bytes(64), qos=1, packet_id=1)
+    frame = encode_packet(publish)
+    events = [TraceEvent(seq=i, t_ms=i / 100, session="f", kind=K_RECEIVED,
+                         packet=publish, raw=frame) for i in range(100_000)]
+    path = tmp_path / "spill.jsonl"
+    with path.open("w", encoding="utf-8") as sink:
+        run = runner._Run(QOS21, Endpoint(host="127.0.0.1", port=1), sink)
+        try:
+            run.events.extend(events)
+            started = time.monotonic()
+            run.pump(started + 0.005)
+            elapsed = time.monotonic() - started
+            assert run.written < len(events)
+            run.spill(math.inf)  # after the loop, as run_experiment does
+        finally:
+            run.close()
+    assert elapsed < 0.025, f"a 5 ms wait took {elapsed * 1000:.1f} ms"
+    assert path.read_text(encoding="utf-8") == "".join(map(event_line, events))
