@@ -178,8 +178,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_LOCAL_ERROR
 
     # map frees each full result once judged; a loop variable would hold it.
-    results, outcomes = zip(*map(_judge, run_in_turn(experiments, endpoint,
-                                                     args.traces or None)))
+    results, outcomes = zip(*map(_judge, run_in_turn(_released(experiments), endpoint,
+                                                     args.traces or None, oracle.Judge)))
     label = args.label or args.target
     profile = fingerprint_outcomes(results, outcomes, broker_label=label)
 
@@ -195,12 +195,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
+def _released(experiments: list[Experiment]) -> Iterator[Experiment]:
+    """Hand over the experiments in order, holding none already handed over."""
+    experiments.reverse()
+    while experiments:
+        yield experiments.pop()
+
+
 def _judge(result: CorpusResult) -> tuple[CorpusResult, ScenarioOutcome | None]:
-    """Evaluate; keep what the reports read, not the events."""
+    """Finish the run's judge; keep what the reports read, not the script or the judge."""
     outcome = evaluate_result(result)
-    if result.trace is not None:
-        result = dataclasses.replace(result, trace=dataclasses.replace(result.trace, events=()))
-    return result, outcome
+    return dataclasses.replace(result, experiment=Experiment(result.experiment.name),
+                               judge=None), outcome
 
 
 def _write_report(chunks: Iterable[str], output: str | None) -> None:

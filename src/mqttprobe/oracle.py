@@ -26,6 +26,11 @@ R7  an orphan PUBREL must still be answered with PUBCOMP; a close or
 All rules compare received events against received events on one
 session, whose order is TCP-FIFO, never a sent event against a
 received one, so classifications are robust to scheduling jitter.
+
+The rules are checked in one pass: a ``Judge`` takes each event in seq
+order, as the runner records it or as ``evaluate_trace`` reads it from a
+finished trace, keeps only the indexes the rules read, and builds the
+anomalies once, at the end.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .codec import (
+    Disconnect,
+    Packet,
     Puback,
     Pubcomp,
     Publish,
@@ -45,6 +52,7 @@ from .codec import (
 )
 from .experiment import Experiment, Identity, scripted_input_conformant  # noqa: F401 (re-export)
 from .trace import (
+    K_CLOSED_BY_PEER,
     K_RECEIVED,
     K_SENT,
     OUTCOME_COMPLETED,
@@ -52,7 +60,6 @@ from .trace import (
     CorpusResult,
     Trace,
     TraceEvent,
-    peer_closes,
 )
 
 
@@ -157,188 +164,226 @@ def _payload_text(payload: bytes, limit: int = 24) -> str:
     return text[:limit] + ("..." if len(text) > limit else "")
 
 
-# --- trace views -----------------------------------------------------------
+# --- the judge -------------------------------------------------------------
 
-def _deliveries(received: list[TraceEvent], subscriber_sessions: set[str]) -> list[TraceEvent]:
-    """Received publishes on subscriber sessions, retransmissions collapsed."""
-    out: list[TraceEvent] = []
-    seen: set[tuple[str, int, bytes, bytes]] = set()
-    for event in received:
-        packet = event.packet
-        if not isinstance(packet, Publish) or event.session not in subscriber_sessions:
-            continue
-        if packet.dup and packet.packet_id is not None:
-            key = (event.session, packet.packet_id, packet.topic, packet.payload)
-            if key in seen:
-                continue
-            seen.add(key)
-        elif packet.packet_id is not None:
-            seen.add((event.session, packet.packet_id, packet.topic, packet.payload))
-        out.append(event)
-    return out
+_ACK_NAMES = {cls: cls.__name__.lower() for cls in (Puback, Pubrec, Pubrel, Pubcomp, Suback)}
 
 
-def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
-    """Classify one trace against its script."""
-    if trace.experiment_name != experiment.name:
-        raise TraceMismatchError(
-            f"trace is for {trace.experiment_name!r}, not {experiment.name!r}")
-    model = experiment.model
-    received = [e for e in trace.events if e.kind == K_RECEIVED]
-    delivery_events = _deliveries(received, model.subscriber_sessions)
-    delivered = [(e.packet.topic, e.packet.payload) for e in delivery_events]  # type: ignore[union-attr]
-    closes = peer_closes(trace.events)
-    conformant = experiment.input_conformant
-    anomalies: list[Anomaly] = []
+class Judge:
+    """R1-R7 in one pass over a run's events, fed in seq order as they are recorded.
 
-    ack_flow: list[tuple[str, int]] = []
-    for event in received:
-        packet = event.packet
-        if isinstance(packet, (Puback, Pubrec, Pubrel, Pubcomp, Suback)):
-            ack_flow.append((type(packet).__name__.lower(), packet.packet_id))
+    It keeps the indexes the rules read, never the events, and builds the
+    anomalies once, in ``outcome``.  A delivery is a received PUBLISH on a
+    subscriber session; a DUP copy of a qos>0 one already seen (same
+    session, id, topic and payload) is a retransmission and collapses.
+    """
 
-    # R1: per-identity delivery counts against the conformant model.
-    expected_counts = Counter(model.expected)
-    suppressed_counts = Counter(model.suppressed)
-    delivery_seqs: dict[Identity, list[int]] = {}
-    for event, identity in zip(delivery_events, delivered):
-        delivery_seqs.setdefault(identity, []).append(event.seq)
-    sent_seqs: dict[Identity, list[int]] = {}
-    for event in trace.events:
-        if event.kind == K_SENT and not event.auto and isinstance(event.packet, Publish):
-            sent_seqs.setdefault((event.packet.topic, event.packet.payload),
-                                 []).append(event.seq)
-    for identity in sorted(set(expected_counts) | set(delivery_seqs),
-                           key=lambda i: (i[0], i[1])):
-        want = expected_counts.get(identity, 0)
-        got = len(delivery_seqs.get(identity, ()))
-        if got < want and identity not in model.qos0_identities:
-            anomalies.append(make_anomaly(
-                LOST_MESSAGE, tuple(sent_seqs.get(identity, (0,))),
-                f"payload {_payload_text(identity[1])} was published {want} time(s) with qos>0 "
-                f"but delivered {got} time(s)"))
-        elif got > want:
-            label = _payload_text(identity[1])
-            excess_seqs = tuple(delivery_seqs[identity][want:])
-            if suppressed_counts.get(identity, 0) > 0:
+    def __init__(self, experiment: Experiment):
+        self.experiment = experiment
+        model = experiment.model
+        self.subscribers = model.subscriber_sessions
+        self.orphan_ids = {packet_id for _, packet_id in model.orphan_pubrels}
+        self.delivered: list[Identity] = []
+        self.delivery_seqs: list[int] = []
+        self.seen: set[tuple[str, int, bytes, bytes]] = set()  # the dup-collapse keys
+        self.sent_seqs: dict[Identity, list[int]] = {}   # scripted publishes
+        self.ack_flow: list[tuple[str, int]] = []
+        self.first_pubrec: dict[tuple[str, int], int] = {}
+        self.first_pubcomp: dict[tuple[str, int], int] = {}
+        self.last_ack_seq: int | None = None              # of a PUBACK or PUBREC
+        self.comp_after_delivery: int | None = None       # first PUBCOMP since the last one
+        self.first_suback: dict[tuple[str, int], int] = {}
+        self.granted: set[tuple[str, int]] = set()        # a SUBACK granted some filter
+        self.orphan_pubrels: dict[int, list[int]] = {}    # scripted PUBRELs of orphan ids
+        self.said_bye: set[str] = set()
+        self.closes: list[tuple[int, str]] = []           # peer closes before a DISCONNECT
+        self.first_sent: int | None = None
+
+    def __call__(self, event: TraceEvent) -> None:
+        kind = event.kind
+        if kind == K_RECEIVED:
+            cls = type(event.packet)
+            if cls is Publish:
+                self._publish(event.seq, event.session, event.packet)
+            elif cls in _ACK_NAMES:
+                self._ack(event.seq, event.session, event.packet)
+        elif kind == K_SENT:
+            if self.first_sent is None:
+                self.first_sent = event.seq
+            if not event.auto:
+                self._scripted(event.seq, event.session, event.packet)
+        elif kind == K_CLOSED_BY_PEER and event.session not in self.said_bye:
+            self.closes.append((event.seq, event.session))
+
+    def _scripted(self, seq: int, session: str, packet: Packet | None) -> None:
+        cls = type(packet)
+        if cls is Publish:
+            self.sent_seqs.setdefault((packet.topic, packet.payload), []).append(seq)
+        elif cls is Pubrel and packet.packet_id in self.orphan_ids:
+            self.orphan_pubrels.setdefault(packet.packet_id, []).append(seq)
+        elif cls is Disconnect:
+            self.said_bye.add(session)
+
+    def _publish(self, seq: int, session: str, packet: Publish) -> None:
+        if session not in self.subscribers:
+            return
+        if packet.packet_id is not None:
+            key = (session, packet.packet_id, packet.topic, packet.payload)
+            if packet.dup and key in self.seen:
+                return
+            self.seen.add(key)
+        self.delivered.append((packet.topic, packet.payload))
+        self.delivery_seqs.append(seq)
+        self.comp_after_delivery = None
+
+    def _ack(self, seq: int, session: str, packet: Packet) -> None:
+        cls, key = type(packet), (session, packet.packet_id)  # type: ignore[union-attr]
+        self.ack_flow.append((_ACK_NAMES[cls], packet.packet_id))  # type: ignore[union-attr]
+        if cls is Puback or cls is Pubrec:
+            self.last_ack_seq = seq
+            if cls is Pubrec:
+                self.first_pubrec.setdefault(key, seq)
+        elif cls is Pubcomp:
+            self.first_pubcomp.setdefault(key, seq)
+            if self.comp_after_delivery is None:
+                self.comp_after_delivery = seq
+        elif cls is Suback:
+            self.first_suback.setdefault(key, seq)
+            if any(rc != 0x80 for rc in packet.return_codes):  # type: ignore[union-attr]
+                self.granted.add(key)
+
+    def outcome(self, aborted: bool) -> ScenarioOutcome:
+        """The verdict on the events fed so far."""
+        experiment, model = self.experiment, self.experiment.model
+        delivered, delivery_order = self.delivered, self.delivery_seqs
+        anomalies: list[Anomaly] = []
+
+        # R1: per-identity delivery counts against the conformant model.
+        expected_counts = Counter(model.expected)
+        suppressed_counts = Counter(model.suppressed)
+        delivery_seqs: dict[Identity, list[int]] = {}
+        for seq, identity in zip(delivery_order, delivered):
+            delivery_seqs.setdefault(identity, []).append(seq)
+        for identity in sorted(set(expected_counts) | set(delivery_seqs),
+                               key=lambda i: (i[0], i[1])):
+            want = expected_counts.get(identity, 0)
+            got = len(delivery_seqs.get(identity, ()))
+            if got < want and identity not in model.qos0_identities:
                 anomalies.append(make_anomaly(
-                    ID_REUSE_MISHANDLED, excess_seqs,
-                    f"payload {label} reused an open qos 2 packet id; a "
-                    f"conformant broker treats it as a retransmission, yet "
-                    f"it was delivered"))
-            else:
+                    LOST_MESSAGE, tuple(self.sent_seqs.get(identity, (0,))),
+                    f"payload {_payload_text(identity[1])} was published {want} time(s) with qos>0 "
+                    f"but delivered {got} time(s)"))
+            elif got > want:
+                label = _payload_text(identity[1])
+                excess_seqs = tuple(delivery_seqs[identity][want:])
+                if suppressed_counts.get(identity, 0) > 0:
+                    anomalies.append(make_anomaly(
+                        ID_REUSE_MISHANDLED, excess_seqs,
+                        f"payload {label} reused an open qos 2 packet id; a "
+                        f"conformant broker treats it as a retransmission, yet "
+                        f"it was delivered"))
+                else:
+                    anomalies.append(make_anomaly(
+                        DUPLICATE_DELIVERY, excess_seqs,
+                        f"payload {label} was delivered {got} time(s) but "
+                        f"published {want} time(s)"))
+
+        # R2: first-occurrence order of commonly-known identities.
+        observed_first = list(dict.fromkeys(
+            identity for identity in delivered if identity in expected_counts))
+        expected_first = list(dict.fromkeys(
+            identity for identity in model.expected if identity in delivery_seqs))
+        if observed_first != expected_first:
+            order = ", ".join(_payload_text(p) for _, p in observed_first)
+            want_order = ", ".join(_payload_text(p) for _, p in expected_first)
+            anomalies.append(make_anomaly(
+                REORDERED_DELIVERY, tuple(delivery_order),
+                f"delivered order [{order}] differs from publish order [{want_order}]"))
+
+        # R3: PUBCOMP received before PUBREC for the same packet id.
+        for key, comp_seq in sorted(self.first_pubcomp.items(), key=lambda kv: kv[1]):
+            rec_seq = self.first_pubrec.get(key)
+            if rec_seq is not None and comp_seq < rec_seq:
                 anomalies.append(make_anomaly(
-                    DUPLICATE_DELIVERY, excess_seqs,
-                    f"payload {label} was delivered {got} time(s) but "
-                    f"published {want} time(s)"))
+                    ACK_BEFORE_PREREQUISITE, (comp_seq, rec_seq),
+                    f"PUBCOMP for id {key[1]} arrived before its PUBREC"))
 
-    # R2: first-occurrence order of commonly-known identities.
-    observed_first = list(dict.fromkeys(
-        identity for identity in delivered if identity in expected_counts))
-    expected_first = list(dict.fromkeys(
-        identity for identity in model.expected if identity in delivery_seqs))
-    if observed_first != expected_first:
-        evidence = tuple(e.seq for e in delivery_events)
-        order = ", ".join(_payload_text(p) for _, p in observed_first)
-        want_order = ", ".join(_payload_text(p) for _, p in expected_first)
-        anomalies.append(make_anomaly(
-            REORDERED_DELIVERY, evidence,
-            f"delivered order [{order}] differs from publish order [{want_order}]"))
-
-    # R3: PUBCOMP received before PUBREC for the same packet id.
-    first_pubrec: dict[tuple[str, int], int] = {}
-    first_pubcomp: dict[tuple[str, int], int] = {}
-    for event in received:
-        packet = event.packet
-        if isinstance(packet, Pubrec):
-            first_pubrec.setdefault((event.session, packet.packet_id), event.seq)
-        elif isinstance(packet, Pubcomp):
-            first_pubcomp.setdefault((event.session, packet.packet_id), event.seq)
-    for key, comp_seq in sorted(first_pubcomp.items(), key=lambda kv: kv[1]):
-        rec_seq = first_pubrec.get(key)
-        if rec_seq is not None and comp_seq < rec_seq:
+        # R4: all forwards deferred past the acks, then completed.
+        if delivery_order and self.last_ack_seq is not None \
+                and self.comp_after_delivery is not None \
+                and delivery_order[0] > self.last_ack_seq:
             anomalies.append(make_anomaly(
-                ACK_BEFORE_PREREQUISITE, (comp_seq, rec_seq),
-                f"PUBCOMP for id {key[1]} arrived before its PUBREC"))
-
-    # R4: all forwards deferred past the acks, then completed.
-    if delivery_events:
-        first_forward = delivery_events[0].seq
-        ack_seqs = [e.seq for e in received
-                    if isinstance(e.packet, (Puback, Pubrec))]
-        comp_seqs = [e.seq for e in received if isinstance(e.packet, Pubcomp)]
-        last_forward = delivery_events[-1].seq
-        late_comps = [s for s in comp_seqs if s > last_forward]
-        if ack_seqs and late_comps and first_forward > max(ack_seqs):
-            anomalies.append(make_anomaly(
-                LATE_COMPLETION, (first_forward, max(ack_seqs), late_comps[0]),
+                LATE_COMPLETION,
+                (delivery_order[0], self.last_ack_seq, self.comp_after_delivery),
                 "every forwarded publication arrived after the handshake "
                 "acks, and PUBCOMP arrived after the forwards: completion "
                 "outran delivery, leaving a replay window"))
 
-    # R5: granted exact-topic subscription that never produced a delivery.
-    closed_sessions = {e.session for e in closes}
-    suback_ids = {(e.session, e.packet.packet_id)  # type: ignore[union-attr]
-                  for e in received
-                  if isinstance(e.packet, Suback)
-                  and any(rc != 0x80 for rc in e.packet.return_codes)}
-    for session, filters in sorted(model.exact_filters.items()):
-        if session in closed_sessions:
-            continue
-        for topic_filter, sub_packet_id in filters:
-            if (session, sub_packet_id) not in suback_ids:
+        # R5: granted exact-topic subscription that never produced a delivery.
+        closed_sessions = {session for _, session in self.closes}
+        expected_topics = {topic for topic, _ in model.expected}
+        delivered_topics = {topic for topic, _ in delivered}
+        for session, filters in sorted(model.exact_filters.items()):
+            if session in closed_sessions:
                 continue
-            matching = [i for i in model.expected if i[0] == topic_filter]
-            if matching and not any(i[0] == topic_filter for i in delivered):
-                suback_seq = next(e.seq for e in received
-                                  if isinstance(e.packet, Suback)
-                                  and e.session == session
-                                  and e.packet.packet_id == sub_packet_id)
-                anomalies.append(make_anomaly(
-                    TOPIC_TRUNCATION, (suback_seq,),
-                    f"subscription to a {len(topic_filter)}-byte topic was "
-                    f"granted but an exact-topic publish was never "
-                    f"delivered: the stored filter no longer matches"))
+            for topic_filter, sub_packet_id in filters:
+                if (session, sub_packet_id) in self.granted \
+                        and topic_filter in expected_topics \
+                        and topic_filter not in delivered_topics:
+                    anomalies.append(make_anomaly(
+                        TOPIC_TRUNCATION, (self.first_suback[session, sub_packet_id],),
+                        f"subscription to a {len(topic_filter)}-byte topic was "
+                        f"granted but an exact-topic publish was never "
+                        f"delivered: the stored filter no longer matches"))
 
-    # R7 before R6: a rejected orphan release claims the close.
-    orphan_rejected = False
-    for session, packet_id in model.orphan_pubrels:
-        got_pubcomp = any(isinstance(e.packet, Pubcomp)
-                          and e.packet.packet_id == packet_id
-                          and e.session == session
-                          for e in received)
-        if got_pubcomp:
-            continue
-        orphan_rejected = True
-        evidence = tuple(e.seq for e in trace.events
-                         if e.kind == K_SENT and not e.auto
-                         and isinstance(e.packet, Pubrel)
-                         and e.packet.packet_id == packet_id)
-        evidence += tuple(e.seq for e in closes if e.session == session)
-        anomalies.append(make_anomaly(
-            ORPHAN_PUBREL_REJECTED, evidence or (0,),
-            f"PUBREL for never-published id {packet_id} was not answered "
-            f"with PUBCOMP"))
-
-    # R6: unexpected close, or tolerated violation.
-    if conformant:
-        if closes and not orphan_rejected:
+        # R7 before R6: a rejected orphan release claims the close.
+        orphan_rejected = False
+        for session, packet_id in model.orphan_pubrels:
+            if (session, packet_id) in self.first_pubcomp:
+                continue
+            orphan_rejected = True
+            evidence = tuple(self.orphan_pubrels.get(packet_id, ()))
+            evidence += tuple(seq for seq, closed in self.closes if closed == session)
             anomalies.append(make_anomaly(
-                UNEXPECTED_DISCONNECT, tuple(e.seq for e in closes),
-                "the broker closed the connection during a conformant script"))
-    elif not closes:
-        evidence = tuple(e.seq for e in trace.events if e.kind == K_SENT)[:1]
-        anomalies.append(make_anomaly(
-            PROTOCOL_VIOLATION_TOLERATED, evidence or (0,),
-            "the script violated the protocol but the broker kept the "
-            "connection open"))
+                ORPHAN_PUBREL_REJECTED, evidence or (0,),
+                f"PUBREL for never-published id {packet_id} was not answered "
+                f"with PUBCOMP"))
 
-    return ScenarioOutcome(
-        experiment_name=experiment.name,
-        delivered=tuple(delivered),
-        ack_flow=tuple(ack_flow),
-        anomalies=tuple(anomalies),
-        aborted=trace.outcome != OUTCOME_COMPLETED)
+        # R6: unexpected close, or tolerated violation.
+        if experiment.input_conformant:
+            if self.closes and not orphan_rejected:
+                anomalies.append(make_anomaly(
+                    UNEXPECTED_DISCONNECT, tuple(seq for seq, _ in self.closes),
+                    "the broker closed the connection during a conformant script"))
+        elif not self.closes:
+            anomalies.append(make_anomaly(
+                PROTOCOL_VIOLATION_TOLERATED,
+                (0,) if self.first_sent is None else (self.first_sent,),
+                "the script violated the protocol but the broker kept the "
+                "connection open"))
+
+        return ScenarioOutcome(
+            experiment_name=experiment.name,
+            delivered=tuple(delivered),
+            ack_flow=tuple(self.ack_flow),
+            anomalies=tuple(anomalies),
+            aborted=aborted)
+
+
+def evaluate_trace(experiment: Experiment, trace: Trace,
+                   judge: Judge | None = None) -> ScenarioOutcome:
+    """Classify one trace against its script: feed a judge its events, then ask the verdict.
+
+    A ``judge`` the runner already fed while recording is given only the
+    events the trace still holds, none when the runner kept none.
+    """
+    if trace.experiment_name != experiment.name:
+        raise TraceMismatchError(
+            f"trace is for {trace.experiment_name!r}, not {experiment.name!r}")
+    judge = judge or Judge(experiment)
+    for event in trace.events:
+        judge(event)
+    return judge.outcome(aborted=trace.outcome != OUTCOME_COMPLETED)
 
 
 # --- fingerprints ----------------------------------------------------------
@@ -355,7 +400,7 @@ def evaluate_result(result: CorpusResult) -> ScenarioOutcome | None:
     if result.skipped is not None or result.trace is None \
             or result.trace.outcome == OUTCOME_RUNNER_ERROR:
         return None
-    return evaluate_trace(result.experiment, result.trace)
+    return evaluate_trace(result.experiment, result.trace, result.judge)
 
 
 def fingerprint(results: list[CorpusResult], broker_label: str,

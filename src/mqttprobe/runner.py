@@ -36,9 +36,15 @@ inbound publishes, PUBCOMP for inbound PUBREL) unless the session
 declares ``auto_ack: false``.  In particular the runner never answers
 a PUBREC: releasing a qos 2 publish is always a scripted decision.
 
-With a trace sink the runner writes the header first; before each poll of
-a ``wait`` step or settle, the events so far, SPILL_CHUNK at a time while
-over SPILL_MARGIN_S remain; after the last poll, the rest and the outcome.
+The runner keeps no trace.  It hands each event, as it is recorded, to
+its consumers and then drops it: the caller's ``consumer`` (the oracle's
+judge, or a collector for callers that want ``Trace.events``) at once,
+and the trace sink, if any, once written.  The sink gets the header
+first; before each poll of a ``wait`` step or settle, the pending events,
+a chunk at a time while the chunk's writing ends SPILL_MARGIN_S before
+the poll is due; after the last poll, the rest and the outcome.  Settle
+counts expected deliveries as they arrive, and a run is aborted by the
+peer closes its sessions saw before their last step.
 
 RunnerError is reserved for local faults (refused connection, DNS,
 unencodable script); peer disconnects and silence are trace outcomes,
@@ -56,9 +62,9 @@ import socket
 import time
 import uuid
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from . import codec
 from .codec import (
@@ -98,8 +104,11 @@ from .experiment import (
 from .trace import (K_CLOSED_BY_PEER, K_CONNECTED, K_RECEIVED, K_SENT,  # noqa: F401
                     K_TCP_ERROR, OUTCOME_ABORTED_BY_PEER, OUTCOME_COMPLETED,
                     OUTCOME_RUNNER_ERROR, CorpusResult, Liveness, Trace, TraceEvent,
-                    event_line, header_line, outcome_line, peer_closes,
-                    trace_from_jsonl, trace_lines, trace_to_jsonl)
+                    event_line, header_line, outcome_line, trace_from_jsonl, trace_lines,
+                    trace_to_jsonl)
+
+if TYPE_CHECKING:
+    from .oracle import Judge
 
 SETTLED_CLOSED = "closed"
 SETTLED_QUIET = "quiet"
@@ -115,8 +124,13 @@ READ_INTERVAL_S = 0.01
 # not predict (a duplicate, a late retransmission) trailing the last
 # expected one.
 SETTLE_GAP_MS = 100
-# 64 publish events encode in about 0.2 ms, or 0.8 ms at 4 KiB each.
+# 64 publish events encode in about 0.2 ms, or 0.8 ms at 4 KiB each.  A
+# chunk is written only if SPILL_S_PER_BYTE of its frame bytes still
+# leaves SPILL_MARGIN_S, so a large frame waits for a longer wait, or for
+# the end of the run.  A publish event's line hex-encodes its frame and
+# its payload again: 2 ns a frame byte at 16 KiB, 8 ns at 1 MiB.
 SPILL_CHUNK = 64
+SPILL_S_PER_BYTE = 1e-8
 SPILL_MARGIN_S = 0.002
 
 
@@ -185,26 +199,40 @@ def _reply_owed(packet: Packet) -> type | None:
 
 
 class _Run:
-    """The selector loop and event log one experiment shares across sessions."""
+    """The selector loop and event sequence one experiment shares across sessions."""
 
-    def __init__(self, experiment: Experiment, endpoint: Endpoint, sink: TextIO | None):
+    def __init__(self, experiment: Experiment, endpoint: Endpoint, sink: TextIO | None,
+                 consumer: Callable[[TraceEvent], object]):
         self.endpoint = endpoint
         self.sink = sink
-        self.written = 0             # events already written to ``sink``
+        self.consume = consumer
+        self.seq = 0                 # of the next event
+        self.pending: list[TraceEvent] = []  # recorded, for ``sink``
+        self.written = 0             # of ``pending``, already in ``sink``
+        self.missing = Counter(experiment.model.expected)  # deliveries yet to arrive
+        self.owed = sum(self.missing.values())
         self.selector = selectors.DefaultSelector()
         self.t0 = time.monotonic()
         self.last_event_at = self.t0
         self.polled_at = self.t0
-        self.events: list[TraceEvent] = []
         self.sessions = {decl.id: _Session(decl, self) for decl in experiment.sessions}
 
-    def record(self, session: str, kind: str, **fields: object) -> TraceEvent:
+    def record(self, session: str, kind: str, **fields: object) -> None:
         self.last_event_at = time.monotonic()
-        event = TraceEvent(seq=len(self.events),
+        event = TraceEvent(seq=self.seq,
                            t_ms=round((self.last_event_at - self.t0) * 1000, 3),
                            session=session, kind=kind, **fields)  # type: ignore[arg-type]
-        self.events.append(event)
-        return event
+        self.seq += 1
+        self.consume(event)
+        if self.sink is not None:
+            self.pending.append(event)
+
+    def arrived(self, packet: Publish) -> None:
+        """Count a received PUBLISH against the deliveries the model expects."""
+        identity = (packet.topic, packet.payload)
+        if self.missing[identity] > 0:
+            self.missing[identity] -= 1
+            self.owed -= 1
 
     def poll(self, timeout: float) -> None:
         """One round of the loop: wait up to ``timeout`` s, serve what is ready."""
@@ -227,12 +255,18 @@ class _Run:
                     f"send failed: no progress for {self.endpoint.io_timeout_ms} ms")
 
     def spill(self, deadline: float) -> None:
-        """Write recorded events to the sink while ``deadline`` is SPILL_MARGIN_S away."""
-        while self.sink is not None and self.written < len(self.events) \
-                and time.monotonic() < deadline - SPILL_MARGIN_S:
-            chunk = self.events[self.written:self.written + SPILL_CHUNK]
+        """Write pending events a chunk at a time, each done SPILL_MARGIN_S before ``deadline``."""
+        pending = self.pending
+        while self.written < len(pending):
+            chunk = pending[self.written:self.written + SPILL_CHUNK]
+            size = sum(len(e.raw) for e in chunk if e.raw is not None)
+            if time.monotonic() + size * SPILL_S_PER_BYTE >= deadline - SPILL_MARGIN_S:
+                break
             self.sink.writelines(map(event_line, chunk))
             self.written += len(chunk)
+        if self.written == len(pending):
+            pending.clear()
+            self.written = 0
 
     def pump(self, until: float, trailing: bool = False) -> None:
         """Serve every socket until the monotonic ``until``.
@@ -250,27 +284,16 @@ class _Run:
     def settle(self, experiment: Experiment) -> str:
         """Listen for at most ``settle_ms`` after the last step; say what ended it."""
         conformant = experiment.input_conformant
-        model = experiment.model
-        missing = Counter(model.expected)
-        owed = sum(missing.values())
-        subscribers = [self.sessions[sid] for sid in model.subscriber_sessions]
-        counted = 0
+        subscribers = [self.sessions[sid] for sid in experiment.model.subscriber_sessions]
         start = time.monotonic()
         cap = start + experiment.settle_ms / 1000
         while True:
             sessions = self.sessions.values()
             if not any(s.reading for s in sessions):
                 return SETTLED_CLOSED
-            for event in self.events[counted:]:
-                if event.kind == K_RECEIVED and isinstance(event.packet, Publish):
-                    identity = (event.packet.topic, event.packet.payload)
-                    if missing[identity] > 0:
-                        missing[identity] -= 1
-                        owed -= 1
-            counted = len(self.events)
             deadline, reason = cap, SETTLED_CAP
             if conformant and all(s.settled for s in sessions) \
-                    and (not owed or not any(s.reading for s in subscribers)):
+                    and (not self.owed or not any(s.reading for s in subscribers)):
                 quiet_at = max(start, self.last_event_at) + SETTLE_GAP_MS / 1000
                 if quiet_at < cap:
                     deadline, reason = quiet_at, SETTLED_QUIET
@@ -280,9 +303,21 @@ class _Run:
             self.poll(deadline - time.monotonic())
 
     def close(self) -> None:
+        """Close every session, and cut their links back to the run.
+
+        A link is a reference cycle: cut, the run and what it holds (the
+        consumer, the model's counts) go as soon as the caller drops it.
+        """
         for session in self.sessions.values():
             session.local_close()
+            session.run = None  # type: ignore[assignment]
         self.selector.close()
+
+    @property
+    def aborted(self) -> bool:
+        """A scripted frame was lost, or the peer closed a session mid-script."""
+        return any(s.step_send_failed or s.peer_closed_seq <= s.steps_done_seq
+                   for s in self.sessions.values())
 
 
 class _Session:
@@ -300,6 +335,8 @@ class _Session:
         self.pending_splice: SpliceNextStep | None = None
         self.steps_done_seq = -1
         self.step_send_failed = False
+        self.said_bye = False        # a scripted DISCONNECT was sent
+        self.peer_closed_seq = math.inf  # the first peer close before one
 
     @property
     def settled(self) -> bool:
@@ -370,6 +407,8 @@ class _Session:
             return
         self.run.record(self.decl.id, K_SENT, packet=packet, raw=frame,
                         auto=auto, note=note)
+        if not auto and isinstance(packet, Disconnect):
+            self.said_bye = True
         if packet is not None:
             reply = _reply_owed(packet)
             if reply is not None:
@@ -437,6 +476,8 @@ class _Session:
 
     def _peer_closed(self, kind: str, note: str) -> None:
         self._flush_unparsed()
+        if kind == K_CLOSED_BY_PEER and not self.said_bye:
+            self.peer_closed_seq = min(self.peer_closed_seq, self.run.seq)
         self.run.record(self.decl.id, kind, note=note)
         self.reading = False
         self._watch()
@@ -469,6 +510,8 @@ class _Session:
                 pos += consumed
                 self.run.record(self.decl.id, K_RECEIVED, packet=packet,
                                 raw=frame, annotations=tuple(annotations))
+                if isinstance(packet, Publish):
+                    self.run.arrived(packet)
                 if self.unanswered[type(packet)] > 0:
                     self.unanswered[type(packet)] -= 1
                 if self.decl.auto_ack:
@@ -550,16 +593,20 @@ def check_reachable(endpoint: Endpoint) -> None:
             f"cannot reach {endpoint.label}: {exc}") from exc
 
 
-def run_experiment(experiment: Experiment, endpoint: Endpoint, sink: TextIO | None = None) -> Trace:
-    """Execute one experiment and return its full trace.
+def run_experiment(experiment: Experiment, endpoint: Endpoint, sink: TextIO | None = None,
+                   consumer: Callable[[TraceEvent], object] | None = None) -> Trace:
+    """Execute one experiment and return its trace.
 
     The endpoint is checked for plain TCP reachability first, so even an
     experiment that never touches the wire fails loudly against a dead
-    target instead of reporting a vacuous success.  A ``sink`` gets its JSONL.
+    target instead of reporting a vacuous success.  A ``sink`` gets its
+    JSONL.  A ``consumer`` gets each event as it is recorded, and the trace
+    then holds none; without one, the trace collects them all.
     """
     check_reachable(endpoint)
     started_at = time.time()
-    run = _Run(experiment, endpoint, sink)
+    collected: list[TraceEvent] = []
+    run = _Run(experiment, endpoint, sink, consumer or collected.append)
     if sink is not None:
         sink.write(header_line(experiment.name, endpoint.label, started_at, SETTLE_GAP_MS))
     sessions = run.sessions
@@ -591,22 +638,17 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint, sink: TextIO | No
             session.wait_sent()
             if time.monotonic() - run.polled_at >= READ_INTERVAL_S:
                 run.poll(0.0)
-            session.steps_done_seq = len(run.events) - 1
+            session.steps_done_seq = run.seq - 1
         settled_by = run.settle(experiment)
     finally:
         run.close()
 
-    events = tuple(run.events)
-    # A scripted frame was lost, or the peer closed a session mid-script.
-    aborted = (any(s.step_send_failed for s in sessions.values())
-               or any(e.seq <= sessions[e.session].steps_done_seq
-                      for e in peer_closes(events)))
-    outcome = OUTCOME_ABORTED_BY_PEER if aborted else OUTCOME_COMPLETED
+    outcome = OUTCOME_ABORTED_BY_PEER if run.aborted else OUTCOME_COMPLETED
     if sink is not None:
         run.spill(math.inf)
         sink.write(outcome_line(outcome, "", settled_by))
     return Trace(experiment_name=experiment.name, endpoint=endpoint.label,
-                 started_at=started_at, events=events, outcome=outcome,
+                 started_at=started_at, events=tuple(collected), outcome=outcome,
                  settle_gap_ms=SETTLE_GAP_MS, settled_by=settled_by)
 
 
@@ -656,12 +698,15 @@ def probe_liveness(endpoint: Endpoint) -> Liveness:
 
 
 def run_in_turn(experiments: Iterable[Experiment], endpoint: Endpoint,
-                trace_dir: str | None = None) -> Iterator[CorpusResult]:
+                trace_dir: str | None = None,
+                judge: Callable[[Experiment], Judge] | None = None) -> Iterator[CorpusResult]:
     """Run experiments in order, probing liveness after each.
 
     Each result is yielded, and not held here, before the next experiment
     starts.  After a dead probe the rest are skipped, not run into a corpse.
     With a ``trace_dir``, each run writes its trace to ``<name>.jsonl`` there.
+    With a ``judge`` factory (``oracle.Judge``), each run feeds a new judge
+    that the result carries, in place of the events its trace then lacks.
     """
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
@@ -671,15 +716,18 @@ def run_in_turn(experiments: Iterable[Experiment], endpoint: Endpoint,
             yield CorpusResult(experiment, None, liveness,
                                skipped=f"broker dead: {liveness.detail}")
         else:
-            yield CorpusResult(experiment, _trace_or_error(experiment, endpoint, trace_dir),
-                               liveness := probe_liveness(endpoint))
+            fed = None if judge is None else judge(experiment)
+            trace = _trace_or_error(experiment, endpoint, trace_dir, fed)
+            yield CorpusResult(experiment, trace, liveness := probe_liveness(endpoint),
+                               judge=fed)
 
 
-def _trace_or_error(experiment: Experiment, endpoint: Endpoint, trace_dir: str | None) -> Trace:
+def _trace_or_error(experiment: Experiment, endpoint: Endpoint, trace_dir: str | None,
+                    consumer: Callable[[TraceEvent], object] | None) -> Trace:
     with (contextlib.nullcontext() if trace_dir is None else
           open(os.path.join(trace_dir, f"{experiment.name}.jsonl"), "w", encoding="utf-8")) as sink:
         try:
-            return run_experiment(experiment, endpoint, sink=sink)
+            return run_experiment(experiment, endpoint, sink=sink, consumer=consumer)
         except RunnerError as exc:
             trace = Trace(experiment_name=experiment.name, endpoint=endpoint.label,
                           started_at=time.time(), events=(),

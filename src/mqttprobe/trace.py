@@ -9,13 +9,16 @@ the dataclass fields at import, for the runner and ``trace_lines`` both.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import NamedTuple, get_args
+from typing import TYPE_CHECKING, NamedTuple, get_args
 
-from .codec import Disconnect, Packet, Will
+from .codec import Packet, Will
 from .experiment import Experiment
+
+if TYPE_CHECKING:
+    from .oracle import Judge
 
 K_SENT = "sent"
 K_RECEIVED = "received"
@@ -61,26 +64,16 @@ class Liveness:
 
 @dataclass(frozen=True)
 class CorpusResult:
-    """An experiment, its trace and the liveness probe that followed it."""
+    """An experiment, its trace and the liveness probe that followed it.
+
+    A ``judge`` that was fed the run's events as they were recorded takes
+    the place of the events the trace then does not hold.
+    """
     experiment: Experiment
     trace: Trace | None
     liveness: Liveness
     skipped: str | None = None
-
-
-def peer_closes(events: Iterable[TraceEvent]) -> list[TraceEvent]:
-    """Peer closes of a session before its first scripted DISCONNECT.
-
-    A close after one is the normal end of the conversation.
-    """
-    said_bye: set[str] = set()
-    closes = []
-    for e in events:
-        if e.kind == K_SENT and not e.auto and isinstance(e.packet, Disconnect):
-            said_bye.add(e.session)
-        elif e.kind == K_CLOSED_BY_PEER and e.session not in said_bye:
-            closes.append(e)
-    return closes
+    judge: Judge | None = None
 
 
 # --- JSON forms --------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Trace runner: sequencing invariants, failure paths, serialization."""
 
+import gc
 import io
 import json
 import math
 import socket
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from mqttprobe import corpus, runner
 from mqttprobe.codec import (Connack, Connect, Disconnect, Publish, Raw, Subscribe,
                              encode_packet)
 from mqttprobe.experiment import parse_experiment
+from mqttprobe.oracle import Judge
 from mqttprobe.runner import (
     Endpoint,
     TraceEvent,
@@ -235,6 +238,37 @@ def test_spliced_connect_aborts_by_peer(endpoint):
     assert any(e.kind == K_CLOSED_BY_PEER for e in trace.events)
     spliced = [e for e in trace.events if e.kind == K_SENT and e.note == "spliced"]
     assert len(spliced) == 1 and spliced[0].packet is None and spliced[0].raw
+
+
+def test_a_close_after_a_scripted_disconnect_does_not_abort(endpoint):
+    # As in the oracle's peer closes, a session that sent its DISCONNECT
+    # has said goodbye, also on a later connection: the broker's hang-up
+    # on the garbage below, during the wait, is no abort.
+    exp = _exp({
+        "name": "bye", "sessions": [{"id": "f"}], "settle_ms": 100,
+        "steps": [{"action": "pingreq", "session": "f"},
+                  {"action": "disconnect", "session": "f"},
+                  {"action": "connect", "session": "f"},
+                  {"action": "send_raw", "session": "f", "data_hex": "f000"},
+                  {"action": "wait", "session": "f", "ms": 200}],
+    })
+    trace = run_experiment(exp, endpoint)
+    assert [e.kind for e in trace.events].count(K_CLOSED_BY_PEER) == 1
+    assert trace.outcome == OUTCOME_COMPLETED
+
+
+def test_a_run_releases_its_consumer_when_it_returns(endpoint):
+    # The sessions' links back to the run are cut when it closes, so the
+    # run, and the judge it fed, go without waiting for the cycle collector.
+    judge = Judge(QOS21)
+    released = weakref.ref(judge)
+    gc.disable()
+    try:
+        run_experiment(QOS21, endpoint, consumer=judge)
+        del judge
+        assert released() is None
+    finally:
+        gc.enable()
 
 
 def test_probe_liveness_against_live_and_dead(endpoint):
@@ -620,19 +654,29 @@ def test_trace_written_during_a_multi_wait_run_equals_the_trace(endpoint):
 def test_spill_leaves_a_short_wait_on_time(tmp_path):
     publish = Publish(topic=b"spill/t", payload=bytes(64), qos=1, packet_id=1)
     frame = encode_packet(publish)
+    large = Publish(topic=b"spill/t", payload=bytes(1 << 20), qos=1, packet_id=2)
+    large_frame = encode_packet(large)
+    # A 1 MiB frame writes in several ms: it must wait for a longer wait,
+    # or for the end of the run, not stretch this one.
     events = [TraceEvent(seq=i, t_ms=i / 100, session="f", kind=K_RECEIVED,
+                         packet=large, raw=large_frame) if i % 64 == 1 and i < 384 else
+              TraceEvent(seq=i, t_ms=i / 100, session="f", kind=K_RECEIVED,
                          packet=publish, raw=frame) for i in range(100_000)]
     path = tmp_path / "spill.jsonl"
     with path.open("w", encoding="utf-8") as sink:
-        run = runner._Run(QOS21, Endpoint(host="127.0.0.1", port=1), sink)
+        run = runner._Run(QOS21, Endpoint(host="127.0.0.1", port=1), sink, lambda event: None)
         try:
-            run.events.extend(events)
+            run.pending.extend(events)
             started = time.monotonic()
             run.pump(started + 0.005)
             elapsed = time.monotonic() - started
             assert run.written < len(events)
+            assert all(e.raw is not large_frame for e in run.pending[:run.written])
             run.spill(math.inf)  # after the loop, as run_experiment does
+            assert run.pending == []
         finally:
             run.close()
     assert elapsed < 0.025, f"a 5 ms wait took {elapsed * 1000:.1f} ms"
-    assert path.read_text(encoding="utf-8") == "".join(map(event_line, events))
+    with path.open(encoding="utf-8") as written:
+        for line, event in zip(written, events, strict=True):
+            assert line == event_line(event)
