@@ -24,7 +24,7 @@ import logging
 import os
 import sys
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__, oracle, profiles, refbroker
@@ -220,33 +220,62 @@ def _write_report(chunks: Iterable[str], output: str | None) -> None:
 
 # Exact types whose JSON text is cheap to write; ``json.dumps`` writes the rest.
 _SCALAR_TEXT = {str: _json_str, int: int.__repr__}
+_ROW_TYPES = {list, tuple}
 
 
 def _json_rows(value: object, pad: str, step: str, rows: list[str]) -> Iterator[str]:
-    """Append ``value``'s text at ``pad`` to ``rows``, joining rows of str and int; yield chunks."""
+    """Append ``value``'s text at ``pad`` to ``rows``, flat runs of a list as one string; yield chunks.
+
+    A list is taken JSON_CHUNK_ROWS items at a time, and a full flat run
+    is a chunk of its own.
+    """
     inner = pad + step
     if isinstance(value, dict) and value:
-        brackets, keys, value = "{}", [_json_str(key) + ": " for key in value], value.values()
+        brackets, keys, runs = "{}", [_json_str(key) + ": " for key in value], (value.values(),)
     elif isinstance(value, (list, tuple)) and value:
-        try:
-            texts = [_SCALAR_TEXT[type(item)](item) for item in value]
-        except KeyError:  # it holds a container, or another scalar
-            brackets, keys = "[]", itertools.repeat("")
-        else:
-            rows.append(f"[{inner}{(',' + inner).join(texts)}{pad}]")
-            return
+        brackets, keys = "[]", itertools.repeat("")
+        runs = (value[start:start + JSON_CHUNK_ROWS]
+                for start in range(0, len(value), JSON_CHUNK_ROWS))
     else:
         rows.append(_SCALAR_TEXT.get(type(value), json.dumps)(value))
         return
     separator = brackets[0] + inner
-    for key, item in zip(keys, value):
-        rows.append(separator + key)
-        yield from _json_rows(item, inner, step, rows)
-        separator = "," + inner
-        if len(rows) >= JSON_CHUNK_ROWS:
-            yield "".join(rows)
-            rows.clear()
+    for run in runs:
+        flat = _flat_text(run, inner, step) if brackets == "[]" else None
+        if flat is not None:
+            rows.append(separator + flat)
+            separator = "," + inner
+            if len(run) == JSON_CHUNK_ROWS or len(rows) >= JSON_CHUNK_ROWS:
+                yield "".join(rows)
+                rows.clear()
+            continue
+        for item, key in zip(run, keys):
+            rows.append(separator + key)
+            yield from _json_rows(item, inner, step, rows)
+            separator = "," + inner
+            if len(rows) >= JSON_CHUNK_ROWS:
+                yield "".join(rows)
+                rows.clear()
     rows.append(pad + brackets[1])
+
+
+def _flat_text(items: Sequence, pad: str, step: str) -> str | None:
+    """List items at ``pad`` in one join when they are str and int, or rows of those of one width."""
+    try:
+        return f",{pad}".join([_SCALAR_TEXT[type(item)](item) for item in items])
+    except KeyError:  # a container, or another scalar
+        pass
+    width = len(items[0]) if type(items[0]) in _ROW_TYPES else 0
+    if not width or not {type(row) for row in items} <= _ROW_TYPES \
+            or {len(row) for row in items} != {width}:
+        return None
+    try:
+        cells = [_SCALAR_TEXT[type(cell)](cell) for row in items for cell in row]
+    except KeyError:
+        return None
+    inner = pad + step
+    texts = map(f",{inner}".join, zip(*[iter(cells)] * width))
+    return f"[{inner}" + f"{pad}],{pad}[{inner}".join(texts) + f"{pad}]"
 
 
 def json_chunks(value: object) -> Iterator[str]:

@@ -59,7 +59,7 @@ class UnknownSessionRefError(ExperimentError):
         self.session_id = session_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionDecl:
     # Parsed and rendered in field order, as every step is.
     id: str
@@ -88,19 +88,19 @@ class SessionDecl:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConnectStep:
     session: str
     action = "connect"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisconnectStep:
     session: str
     action = "disconnect"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubscribeStep:
     session: str
     filter: bytes
@@ -109,7 +109,7 @@ class SubscribeStep:
     action = "subscribe"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnsubscribeStep:
     session: str
     filter: bytes
@@ -117,7 +117,7 @@ class UnsubscribeStep:
     action = "unsubscribe"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublishStep:
     session: str
     topic: bytes
@@ -129,48 +129,48 @@ class PublishStep:
     action = "publish"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PubackStep:
     session: str
     packet_id: int
     action = "puback"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PubrecStep:
     session: str
     packet_id: int
     action = "pubrec"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PubrelStep:
     session: str
     packet_id: int
     action = "pubrel"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PubcompStep:
     session: str
     packet_id: int
     action = "pubcomp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PingreqStep:
     session: str
     action = "pingreq"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SendRawStep:
     session: str
     data: bytes
     action = "send_raw"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpliceNextStep:
     """Arm a byte-level patch for the session's next scripted frame."""
 
@@ -182,14 +182,14 @@ class SpliceNextStep:
     action = "splice_next"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaitStep:
     session: str
     ms: int
     action = "wait"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepeatStep:
     session: str
     count: int
@@ -270,15 +270,21 @@ class ScriptModel:
 
 
 def model_script(experiment: Experiment) -> ScriptModel:
-    """Replay the script through a conformant broker model."""
+    """Replay the script through a conformant broker model.
+
+    Every occurrence of an identity in the model is one shared tuple.
+    """
     model = ScriptModel(expected=[], suppressed=[], qos0_identities=set(),
                         orphan_pubrels=[], subscriber_sessions=set(),
                         exact_filters={})
     subscriptions: list[bytes] = []
+    routed: dict[bytes, bool] = {}  # topic -> matches a subscription; reset when they change
+    identities: dict[Identity, Identity] = {}
     open_qos2: dict[str, set[int]] = {}
     seen_qos2: dict[str, set[int]] = {}
     for step in expand_steps(experiment):
         if isinstance(step, SubscribeStep):
+            routed.clear()
             model.subscriber_sessions.add(step.session)
             if not topics.validate_filter(step.filter):
                 subscriptions.append(step.filter)
@@ -286,9 +292,11 @@ def model_script(experiment: Experiment) -> ScriptModel:
                     model.exact_filters.setdefault(step.session, []).append(
                         (step.filter, step.packet_id))
         elif isinstance(step, UnsubscribeStep):
+            routed.clear()
             subscriptions = [f for f in subscriptions if f != step.filter]
         elif isinstance(step, PublishStep):
             identity = (step.topic, step.payload)
+            identity = identities.setdefault(identity, identity)
             opened = open_qos2.setdefault(step.session, set())
             if step.qos == 2 and step.packet_id in opened:
                 model.suppressed.append(identity)
@@ -296,7 +304,11 @@ def model_script(experiment: Experiment) -> ScriptModel:
             if step.qos == 2 and step.packet_id is not None:
                 opened.add(step.packet_id)
                 seen_qos2.setdefault(step.session, set()).add(step.packet_id)
-            if any(topics.match_filter(f, step.topic) for f in subscriptions):
+            matched = routed.get(step.topic)
+            if matched is None:
+                matched = routed[step.topic] = any(
+                    topics.match_filter(f, step.topic) for f in subscriptions)
+            if matched:
                 model.expected.append(identity)
                 if step.qos == 0:
                     model.qos0_identities.add(identity)
@@ -322,6 +334,7 @@ def scripted_input_conformant(experiment: Experiment) -> bool:
             decl.client_id.decode("utf-8")
         except UnicodeDecodeError:
             return False
+    valid_topics: set[bytes] = set()
     for step in expand_steps(experiment):
         if isinstance(step, (SendRawStep, SpliceNextStep)):
             return False
@@ -330,8 +343,10 @@ def scripted_input_conformant(experiment: Experiment) -> bool:
         if isinstance(step, UnsubscribeStep) and topics.validate_filter(step.filter):
             return False
         if isinstance(step, PublishStep):
-            if topics.validate_topic(step.topic):
-                return False
+            if step.topic not in valid_topics:
+                if topics.validate_topic(step.topic):
+                    return False
+                valid_topics.add(step.topic)
             if step.packet_id == 0:
                 return False
         if isinstance(step, (PubackStep, PubrecStep, PubrelStep, PubcompStep)):
@@ -342,14 +357,40 @@ def scripted_input_conformant(experiment: Experiment) -> bool:
 
 # --- parsing ---------------------------------------------------------------
 
-class _Obj:
-    """A JSON object being consumed key by key; leftovers are errors."""
+class _Shared:
+    """One parse's memos: each distinct string value, and its bytes, built once.
 
-    def __init__(self, raw: object, path: str):
+    A script repeats few topics and payloads many times; sharing them
+    makes the parsed document cost in proportion to the distinct values,
+    not to the steps.
+    """
+
+    def __init__(self) -> None:
+        self.strings: dict[str, str] = {}
+        self.text: dict[str, bytes] = {}  # a text field's value -> its UTF-8
+        self.hex: dict[str, bytes] = {}   # a '_hex' field's value -> its bytes
+
+    def object_hook(self, obj: dict) -> dict:
+        """For ``json.loads``: point every string value at its first copy."""
+        strings = self.strings
+        for key, value in obj.items():
+            if type(value) is str:
+                obj[key] = strings.setdefault(value, value)
+        return obj
+
+
+class _Obj:
+    """A JSON object being consumed key by key; leftovers are errors.
+
+    It consumes ``raw`` itself: the parse owns the ``json.loads`` tree.
+    """
+
+    def __init__(self, raw: object, path: str, shared: _Shared):
         if not isinstance(raw, dict):
             raise SchemaError(path, f"expected an object, got {type(raw).__name__}")
-        self.raw = dict(raw)
+        self.raw = raw
         self.path = path
+        self.shared = shared
 
     def sub(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
@@ -381,12 +422,19 @@ class _Obj:
             raise SchemaError(self.path, f"{key!r} and {hex_key!r} are mutually exclusive")
         if hex_key in self.raw:
             text = self.take(hex_key, str)
-            try:
-                return binascii.unhexlify(text)
-            except (binascii.Error, ValueError):
-                raise SchemaError(self.sub(hex_key), "invalid hex string") from None
+            data = self.shared.hex.get(text)  # type: ignore[arg-type]
+            if data is None:
+                try:
+                    data = self.shared.hex[text] = binascii.unhexlify(text)  # type: ignore[index]
+                except (binascii.Error, ValueError):
+                    raise SchemaError(self.sub(hex_key), "invalid hex string") from None
+            return data
         if key in self.raw:
-            return self.take(key, str).encode("utf-8")  # type: ignore[union-attr]
+            text = self.take(key, str)
+            data = self.shared.text.get(text)  # type: ignore[arg-type]
+            if data is None:
+                data = self.shared.text[text] = text.encode("utf-8")  # type: ignore[index,union-attr]
+            return data
         if default is ...:
             raise SchemaError(self.path, f"missing required key {key!r} (or {hex_key!r})")
         return default
@@ -430,15 +478,15 @@ _SESSION_FIELDS = _field_spec(SessionDecl)
 _STEP_FIELDS = {cls.action: (cls, _field_spec(cls)) for cls in get_args(Step)}
 
 
-def _parse_session(raw: object, path: str) -> SessionDecl:
-    obj = _Obj(raw, path)
+def _parse_session(raw: object, path: str, shared: _Shared) -> SessionDecl:
+    obj = _Obj(raw, path, shared)
     decl = SessionDecl(**{name: read(obj, *args) for name, read, args in _SESSION_FIELDS})
     obj.finish()
     return decl
 
 
-def _parse_step(raw: object, path: str, depth: int) -> Step:
-    obj = _Obj(raw, path)
+def _parse_step(raw: object, path: str, depth: int, shared: _Shared) -> Step:
+    obj = _Obj(raw, path, shared)
     session = obj.take("session", str)
     action = obj.take("action", str)
     if action not in _STEP_FIELDS:
@@ -448,7 +496,7 @@ def _parse_step(raw: object, path: str, depth: int) -> Step:
         raise SchemaError(path, "repeat nesting deeper than 4")
     values = {name: read(obj, *args) for name, read, args in spec}
     if cls is RepeatStep:
-        inner = tuple(_parse_step(item, f"{path}.steps[{i}]", depth + 1)
+        inner = tuple(_parse_step(item, f"{path}.steps[{i}]", depth + 1, shared)
                       for i, item in enumerate(obj.take("steps", list)))  # type: ignore[arg-type]
         if not inner:
             raise SchemaError(obj.sub("steps"), "repeat with no steps")
@@ -466,11 +514,13 @@ def _parse_step(raw: object, path: str, depth: int) -> Step:
 
 def parse_experiment(text: str) -> Experiment:
     """Parse a JSON experiment document."""
+    shared = _Shared()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_hook=shared.object_hook)
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"not valid JSON: {exc}") from None
-    obj = _Obj(raw, "")
+    del text  # frees the document while the steps are built, unless the caller holds it
+    obj = _Obj(raw, "", shared)
     name = obj.take("name", str)
     if not name:
         raise SchemaError("name", "must not be empty")
@@ -486,7 +536,7 @@ def parse_experiment(text: str) -> Experiment:
     sessions = []
     seen = set()
     for i, item in enumerate(sessions_raw):  # type: ignore[union-attr]
-        decl = _parse_session(item, f"sessions[{i}]")
+        decl = _parse_session(item, f"sessions[{i}]", shared)
         if decl.id in seen:
             raise DuplicateSessionError(decl.id)
         seen.add(decl.id)
@@ -494,16 +544,26 @@ def parse_experiment(text: str) -> Experiment:
     if not sessions:
         raise SchemaError("sessions", "at least one session is required")
 
+    # Each raw step is dropped once built, so the tree and the steps are
+    # never both whole.
     steps = []
-    for i, item in enumerate(steps_raw):  # type: ignore[union-attr]
-        steps.append(_parse_step(item, f"steps[{i}]", 0))
+    for i, item in enumerate(steps_raw):  # type: ignore[arg-type]
+        steps_raw[i] = None  # type: ignore[index]
+        steps.append(_parse_step(item, f"steps[{i}]", 0, shared))
 
     experiment = Experiment(name=name, description=description,
                             sessions=tuple(sessions), steps=tuple(steps),
                             settle_ms=settle_ms)
     _check_session_refs(experiment)
-    expand_steps(experiment)  # enforces the expansion cap
+    if _expanded_count(experiment.steps) > MAX_EXPANDED_STEPS:
+        raise SchemaError("steps", f"expansion exceeds {MAX_EXPANDED_STEPS} steps")
     return experiment
+
+
+def _expanded_count(steps: tuple[Step, ...]) -> int:
+    """How many primitive steps ``expand_steps`` makes of ``steps``, counted, not built."""
+    return sum(step.count * _expanded_count(step.steps) if isinstance(step, RepeatStep) else 1
+               for step in steps)
 
 
 def _check_session_refs(experiment: Experiment) -> None:

@@ -176,6 +176,8 @@ class Judge:
     anomalies once, in ``outcome``.  A delivery is a received PUBLISH on a
     subscriber session; a DUP copy of a qos>0 one already seen (same
     session, id, topic and payload) is a retransmission and collapses.
+    Each delivery is kept as the model's own identity tuple, or the first
+    copy of one the model does not expect, never as the received bytes.
     """
 
     def __init__(self, experiment: Experiment):
@@ -183,9 +185,10 @@ class Judge:
         model = experiment.model
         self.subscribers = model.subscriber_sessions
         self.orphan_ids = {packet_id for _, packet_id in model.orphan_pubrels}
+        self.identities: dict[Identity, Identity] = {i: i for i in model.expected}
         self.delivered: list[Identity] = []
         self.delivery_seqs: list[int] = []
-        self.seen: set[tuple[str, int, bytes, bytes]] = set()  # the dup-collapse keys
+        self.seen: set[tuple[str, int, Identity]] = set()  # the dup-collapse keys
         self.sent_seqs: dict[Identity, list[int]] = {}   # scripted publishes
         self.ack_flow: list[tuple[str, int]] = []
         self.first_pubrec: dict[tuple[str, int], int] = {}
@@ -227,12 +230,14 @@ class Judge:
     def _publish(self, seq: int, session: str, packet: Publish) -> None:
         if session not in self.subscribers:
             return
+        identity = (packet.topic, packet.payload)
+        identity = self.identities.setdefault(identity, identity)
         if packet.packet_id is not None:
-            key = (session, packet.packet_id, packet.topic, packet.payload)
+            key = (session, packet.packet_id, identity)
             if packet.dup and key in self.seen:
                 return
             self.seen.add(key)
-        self.delivered.append((packet.topic, packet.payload))
+        self.delivered.append(identity)
         self.delivery_seqs.append(seq)
         self.comp_after_delivery = None
 
@@ -389,8 +394,11 @@ def evaluate_trace(experiment: Experiment, trace: Trace,
 # --- fingerprints ----------------------------------------------------------
 
 def summarize_outcome(outcome: ScenarioOutcome) -> ScenarioSummary:
+    """Each distinct identity is hex-encoded once; its deliveries share the pair."""
+    pairs = {identity: (identity[0].hex(), identity[1].hex())
+             for identity in set(outcome.delivered)}
     return ScenarioSummary(
-        delivered=tuple((t.hex(), p.hex()) for t, p in outcome.delivered),
+        delivered=tuple(map(pairs.__getitem__, outcome.delivered)),
         anomalies=tuple(sorted({a.code for a in outcome.anomalies})),
         aborted=outcome.aborted)
 

@@ -305,6 +305,21 @@ def test_json_writer_equals_json_dumps(value):
     assert "".join(cli.json_chunks(value)) == json.dumps(value, indent=2)
 
 
+@pytest.mark.parametrize("value", [
+    # The report's deliveries and ack flow: tuples of pairs, over several runs.
+    tuple(((b"t/%d" % (i % 3)).hex(), bytes([i]).hex()) for i in range(150)),
+    {"ack_flow": tuple(("puback", i) for i in range(130)), "anomalies": []},
+    [[], [[]], {}, [{}], ()],
+    [[1, 2], [], [3, 4], ["a"], (5, "b"), [True, 1], [None]],
+    [("a", 1)] * 64 + [("b", 2, 3)] + [("c", 4)] * 64,
+    list(range(200)) + [[1]],
+])
+def test_json_writer_equals_json_dumps_on_runs_of_rows(value, monkeypatch):
+    for rows in (1, 7, cli.JSON_CHUNK_ROWS):
+        monkeypatch.setattr(cli, "JSON_CHUNK_ROWS", rows)
+        assert "".join(cli.json_chunks(value)) == json.dumps(value, indent=2), rows
+
+
 def test_trace_writer_streams_a_large_trace(tmp_path):
     # Building the JSONL whole before writing it peaked at about three
     # times the file size; streamed, the peak does not grow with the trace.

@@ -1,6 +1,8 @@
 """Scenario DSL: parsing, validation, rendering, expansion."""
 
+import dataclasses
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +21,13 @@ from mqttprobe.experiment import (
     SessionDecl,
     SubscribeStep,
     UnknownSessionRefError,
+    UnsubscribeStep,
     WaitStep,
     expand_steps,
+    model_script,
     parse_experiment,
     render_experiment,
+    scripted_input_conformant,
 )
 
 
@@ -149,6 +154,105 @@ def test_expansion_cap():
     # The cap is enforced as early as parse time.
     with pytest.raises(ExperimentError):
         expand_steps(parse_experiment(doc))
+
+
+def _repeat(count, steps):
+    return {"action": "repeat", "session": "f", "count": count, "steps": steps}
+
+
+_PING = {"action": "pingreq", "session": "f"}
+
+
+@pytest.mark.parametrize("steps, fits", [
+    ([_repeat(100_000, [_PING] * 10)], True),  # exactly MAX_EXPANDED_STEPS
+    ([_repeat(100_000, [_PING] * 10), _PING], False),
+    # 10**15 steps if it were built.
+    ([_repeat(100_000, [_repeat(100_000, [_repeat(100_000, [_PING])])])], False),
+])
+def test_expansion_cap_counts_steps_without_building_them(steps, fits):
+    if fits:
+        parse_experiment(_doc(steps=steps))
+        return
+    with pytest.raises(SchemaError) as exc:
+        parse_experiment(_doc(steps=steps))
+    assert (exc.value.path, exc.value.reason) == (
+        "steps", f"expansion exceeds {exp_mod.MAX_EXPANDED_STEPS} steps")
+
+
+def test_an_undeclared_session_is_reported_before_the_expansion_cap():
+    steps = [_repeat(100_000, [_PING] * 11), {"action": "pingreq", "session": "nobody"}]
+    with pytest.raises(UnknownSessionRefError):
+        parse_experiment(_doc(steps=steps))
+
+
+def _repeated_document(payloads: int, repeats: int) -> str:
+    """Publishes of ``payloads`` distinct payloads on 8 topics, each ``repeats`` times."""
+    steps = [{"session": "f", "action": "subscribe", "filter": "r/#", "qos": 1}]
+    for i in range(payloads * repeats):
+        k = i % payloads
+        steps.append({"session": "f", "action": "publish", "topic": f"r/{k % 8}",
+                      "payload": f"{k:04d}-" + "x" * (100 + k), "qos": 1,
+                      "packet_id": i % 65_535 + 1})
+    return _doc(steps=steps)
+
+
+def test_repeated_topics_and_payloads_are_parsed_once():
+    text = _repeated_document(200, 50)
+    parsed = parse_experiment(text)
+    publishes = [s for s in parsed.steps if isinstance(s, PublishStep)]
+    assert len(publishes) == 10_000
+    for first, again in zip(publishes, publishes[200:]):
+        assert again.payload is first.payload and again.topic is first.topic
+    # The model's identities are shared the same way.
+    expected = model_script(parsed).expected
+    assert len(expected) == 10_000 and len({id(i) for i in expected}) == 200
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        parse_experiment(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # A tree of one string per occurrence, and bytes per step, peaked at 3.7x.
+    assert peak <= 1.5 * len(text), (peak, len(text))
+
+
+def test_steps_and_sessions_have_no_instance_dict():
+    parsed = parse_experiment(_doc(steps=[
+        {"action": "repeat", "session": "f", "count": 2,
+         "steps": [{"action": "publish", "session": "f", "topic": "a"}]}]))
+    for obj in (parsed.sessions[0], parsed.steps[0], parsed.steps[0].steps[0]):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, dataclasses.fields(obj)[0].name, "g")
+
+
+def test_model_routes_each_topic_by_the_subscriptions_in_force():
+    # A topic's match is remembered only until the subscriptions change.
+    experiment = Experiment(name="t", sessions=(SessionDecl(id="f"),), steps=(
+        PublishStep("f", b"a/b", b"0"),
+        SubscribeStep("f", b"a/+"),
+        PublishStep("f", b"a/b", b"1"),
+        PublishStep("f", b"a/c", b"2"),
+        SubscribeStep("f", b"a/#/bad"),  # refused: changes nothing
+        PublishStep("f", b"a/b", b"3"),
+        UnsubscribeStep("f", b"a/+"),
+        PublishStep("f", b"a/b", b"4"),
+        SubscribeStep("f", b"a/b"),
+        PublishStep("f", b"a/b", b"5"),
+        PublishStep("f", b"a/c", b"6"),
+    ))
+    assert model_script(experiment).expected == [
+        (b"a/b", b"1"), (b"a/c", b"2"), (b"a/b", b"3"), (b"a/b", b"5")]
+
+
+def test_a_bad_topic_is_nonconformant_after_good_ones():
+    steps = tuple(PublishStep("f", b"a/b", bytes([i])) for i in range(3))
+    experiment = Experiment(name="t", sessions=(SessionDecl(id="f"),), steps=steps)
+    assert scripted_input_conformant(experiment)
+    bad = dataclasses.replace(experiment, steps=steps + (PublishStep("f", b"a/+", b"x"),))
+    assert not scripted_input_conformant(bad)
 
 
 def test_repeat_expansion_count():

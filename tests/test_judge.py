@@ -41,7 +41,7 @@ from mqttprobe.experiment import (
     SubscribeStep,
     UnsubscribeStep,
 )
-from mqttprobe.oracle import Judge, evaluate_trace
+from mqttprobe.oracle import Judge, evaluate_trace, summarize_outcome
 from mqttprobe.runner import run_experiment
 from mqttprobe.trace import (
     K_CLOSED_BY_PEER,
@@ -80,6 +80,46 @@ def test_live_judge_equals_the_reference_on_the_corpus(endpoint):
         assert live == reference_oracle.evaluate_trace(experiment, full), experiment.name
         codes.update(a.code for a in live.anomalies)
     assert codes  # the refbroker's known findings
+
+
+def test_repeated_deliveries_share_the_models_identities():
+    # Every received copy is fresh bytes; the judge keeps the model's tuples.
+    payloads = [bytes([i]) * 8 for i in range(4)]
+    steps = [SubscribeStep("s", b"t/#", 1)]
+    steps += [PublishStep("p", b"t/a", payloads[i % 4], 1, i + 1) for i in range(12)]
+    experiment = Experiment(name="repeats", steps=tuple(steps),
+                            sessions=(SessionDecl(id="s"), SessionDecl(id="p")))
+    events = [(K_SENT, "s", Subscribe(1, ((b"t/#", 1),))),
+              (K_RECEIVED, "s", Suback(1, (1,)))]
+    def fresh(data):  # an equal but new object, as the decoder makes
+        return bytes(bytearray(data))
+
+    for i in range(12):
+        payload = payloads[i % 4]
+        events.append((K_SENT, "p", Publish(b"t/a", payload, 1, i + 1)))
+        events.append((K_RECEIVED, "s", Publish(fresh(b"t/a"), fresh(payload), 1, i + 1)))
+        if i == 5:  # a retransmission, and an identity the script never published
+            events.append((K_RECEIVED, "s", Publish(fresh(b"t/a"), fresh(payload), 1, i + 1,
+                                                   dup=True)))
+            events.append((K_RECEIVED, "s", Publish(fresh(b"t/z"), fresh(payload), 1, 99)))
+            events.append((K_RECEIVED, "s", Publish(fresh(b"t/z"), fresh(payload), 1, 98)))
+    trace = Trace(experiment_name="repeats", endpoint="random:1883", started_at=0.0,
+                  outcome=OUTCOME_COMPLETED, events=tuple(
+                      TraceEvent(seq=seq, t_ms=float(seq), session=sid, kind=kind,
+                                 packet=packet, raw=b"")
+                      for seq, (kind, sid, packet) in enumerate(events)))
+    outcome = evaluate_trace(experiment, trace)
+    assert outcome == reference_oracle.evaluate_trace(experiment, trace)
+    model = {id(identity) for identity in experiment.model.expected}
+    assert len(model) == 4
+    assert len(outcome.delivered) == 14
+    assert {id(identity) for identity in outcome.delivered} - model == {id(outcome.delivered[6])}
+    assert outcome.delivered[6] is outcome.delivered[7] == (b"t/z", payloads[1])
+    assert {a.code for a in outcome.anomalies} == {"duplicate-delivery"}
+    # The summary hex-encodes each identity once.
+    summary = summarize_outcome(outcome)
+    assert summary.delivered[6] is summary.delivered[7] == (b"t/z".hex(), payloads[1].hex())
+    assert summary.delivered[1] is summary.delivered[5]
 
 
 # --- random event streams ----------------------------------------------------
