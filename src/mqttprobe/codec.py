@@ -10,6 +10,8 @@ best-effort packet plus one annotation per violation.
 
 from __future__ import annotations
 
+import operator
+import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
@@ -121,14 +123,20 @@ def decode_remaining_length(data: bytes) -> tuple[int, int]:
     Raises IncompleteFrame if the continuation bit runs past the buffer
     and MalformedFrame if a fourth continuation bit is set.
     """
+    return _read_length(data, 0)
+
+
+def _read_length(data: bytes | memoryview, pos: int) -> tuple[int, int]:
+    """The varint of at most four bytes at ``data[pos]``: (value, offset after it)."""
     value = 0
-    for i in range(4):
-        if i >= len(data):
+    for shift in (0, 7, 14, 21):
+        if pos >= len(data):
             raise IncompleteFrame("remaining length truncated")
-        byte = data[i]
-        value |= (byte & 0x7F) << (7 * i)
-        if not byte & 0x80:
-            return value, i + 1
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
     raise MalformedFrame("remaining length exceeds four bytes")
 
 
@@ -264,7 +272,7 @@ Packet = (
 )
 
 # Packet class -> (packet type, fixed-header flag nibble); PUBLISH sets
-# its own flags.  decode_packet reads the table inverted.
+# its own flags.
 _HEADERS = {
     Connect: (PacketType.CONNECT, 0),
     Connack: (PacketType.CONNACK, 0),
@@ -281,7 +289,9 @@ _HEADERS = {
     Pingresp: (PacketType.PINGRESP, 0),
     Disconnect: (PacketType.DISCONNECT, 0),
 }
-_CLASSES = {ptype: (cls, flags) for cls, (ptype, flags) in _HEADERS.items()}
+# Fixed-header byte and one-byte remaining length, then a big-endian u16.
+_HEAD_U16 = struct.Struct(">BBH").pack
+_U16 = struct.Struct(">H").pack
 
 
 def _check_packet_id(value: int, field_name: str = "packet_id") -> None:
@@ -305,16 +315,54 @@ def encode_packet(packet: Packet) -> bytes:
     encoded as-is; breaking frames beyond that is what Raw and splice
     are for.
     """
-    cls = type(packet)
-    if cls is Raw:
-        return packet.data
-    if cls is Connect:
-        return _encode_connect(packet)
-    if cls is Publish:
-        return _encode_publish(packet)
-    if cls not in _HEADERS:
+    encode = _ENCODERS.get(type(packet))
+    if encode is None:
         raise InvariantViolation("packet", f"unsupported packet {packet!r}")
+    return encode(packet)
+
+
+def _encode_publish(packet: Publish) -> bytes:
+    qos, packet_id = packet.qos, packet.packet_id
+    if not 0 <= qos <= 2:
+        raise InvariantViolation("qos", f"{qos} outside 0..2")
+    if qos == 0 and packet_id is not None:
+        raise InvariantViolation("packet_id", "present on a qos 0 publish")
+    if qos > 0 and packet_id is None:
+        raise InvariantViolation("packet_id", f"missing on a qos {qos} publish")
+    topic, payload = packet.topic, packet.payload
+    if len(topic) > MAX_STRING:
+        raise InvariantViolation("topic", f"{len(topic)} bytes exceeds {MAX_STRING}")
+    length = 2 + len(topic) + len(payload)
+    if packet_id is None:
+        packet_id_bytes = b""
+    else:
+        _check_packet_id(packet_id)
+        packet_id_bytes = _U16(packet_id)
+        length += 2
+    if length > MAX_REMAINING_LENGTH:
+        raise InvariantViolation("remaining_length", f"body of {length} bytes exceeds {MAX_REMAINING_LENGTH}")
+    first = 0x30 | qos << 1 | (0x08 if packet.dup else 0) | (0x01 if packet.retain else 0)
+    if length < 0x80:
+        head = _HEAD_U16(first, length, len(topic))
+    else:
+        head = bytes((first,)) + encode_remaining_length(length) + _U16(len(topic))
+    return b"".join((head, topic, packet_id_bytes, payload))
+
+
+def _id_encoder(cls: type):
+    """The encoder of a packet whose body is its packet id alone."""
     ptype, flags = _HEADERS[cls]
+    first = ptype << 4 | flags
+
+    def encode(packet) -> bytes:
+        _check_packet_id(packet.packet_id)
+        return _HEAD_U16(first, 2, packet.packet_id)
+    return encode
+
+
+def _encode_body(packet: Packet) -> bytes:
+    """CONNACK, SUBSCRIBE, SUBACK, UNSUBSCRIBE and the packets without a body."""
+    cls = type(packet)
     body = bytearray()
     if cls is Connack:
         if not 0 <= packet.return_code <= 5:
@@ -322,7 +370,7 @@ def encode_packet(packet: Packet) -> bytes:
         body += bytes([1 if packet.session_present else 0, packet.return_code])
     elif "packet_id" in cls.__dataclass_fields__:  # every other body starts with it
         _check_packet_id(packet.packet_id)
-        body += packet.packet_id.to_bytes(2, "big")
+        body += _U16(packet.packet_id)
         if cls is Subscribe:
             for i, (topic_filter, qos) in enumerate(packet.entries):
                 if not 0 <= qos <= 2:
@@ -334,10 +382,10 @@ def encode_packet(packet: Packet) -> bytes:
                 if code not in (0, 1, 2, 0x80):
                     raise InvariantViolation(f"return_codes[{i}]", f"{code} not in {{0, 1, 2, 0x80}}")
             body += bytes(packet.return_codes)
-        elif cls is Unsubscribe:
+        else:
             for i, topic_filter in enumerate(packet.filters):
                 body += _encode_string(topic_filter, f"filters[{i}]")
-    return _frame(ptype, flags, bytes(body))
+    return _frame(*_HEADERS[cls], bytes(body))
 
 
 def _encode_connect(packet: Connect) -> bytes:
@@ -374,24 +422,14 @@ def _encode_connect(packet: Connect) -> bytes:
     return _frame(PacketType.CONNECT, 0, bytes(body))
 
 
-def _encode_publish(packet: Publish) -> bytes:
-    if not 0 <= packet.qos <= 2:
-        raise InvariantViolation("qos", f"{packet.qos} outside 0..2")
-    if packet.qos == 0 and packet.packet_id is not None:
-        raise InvariantViolation("packet_id", "present on a qos 0 publish")
-    if packet.qos > 0 and packet.packet_id is None:
-        raise InvariantViolation("packet_id", f"missing on a qos {packet.qos} publish")
-    flags = packet.qos << 1
-    if packet.dup:
-        flags |= 0x08
-    if packet.retain:
-        flags |= 0x01
-    body = bytearray(_encode_string(packet.topic, "topic"))
-    if packet.packet_id is not None:
-        _check_packet_id(packet.packet_id)
-        body += packet.packet_id.to_bytes(2, "big")
-    body += packet.payload
-    return _frame(PacketType.PUBLISH, flags, bytes(body))
+# Packet class -> its encoder.
+_ENCODERS = {
+    **dict.fromkeys(_HEADERS, _encode_body),
+    **{cls: _id_encoder(cls) for cls in (Puback, Pubrec, Pubrel, Pubcomp, Unsuback)},
+    Raw: operator.attrgetter("data"),
+    Connect: _encode_connect,
+    Publish: _encode_publish,
+}
 
 
 class _Body:
@@ -435,90 +473,119 @@ def decode_packet(data: bytes | memoryview,
     complete it.  Only the decoded fields are copied, so a stream reader
     can pass a memoryview of its buffer from an offset.
     """
-    if not data:
+    size = len(data)
+    if not size:
         raise IncompleteFrame("empty buffer")
-    type_value = data[0] >> 4
-    flags = data[0] & 0x0F
-    try:
-        cls, fixed_flags = _CLASSES[PacketType(type_value)]
-    except ValueError:
-        raise MalformedFrame(f"reserved packet type {type_value}") from None
-    length, length_consumed = decode_remaining_length(data[1:5])
-    frame_length = 1 + length_consumed + length
-    if len(data) < frame_length:
-        raise IncompleteFrame(f"need {frame_length} bytes, have {len(data)}")
+    first = data[0]
+    entry = _DECODERS[first >> 4]
+    if entry is None:
+        raise MalformedFrame(f"reserved packet type {first >> 4}")
+    if size < 2:
+        raise IncompleteFrame("remaining length truncated")
+    if data[1] < 0x80:
+        length, start = data[1], 2
+    else:
+        length, start = _read_length(data, 1)
+    end = start + length
+    if size < end:
+        raise IncompleteFrame(f"need {end} bytes, have {size}")
 
     annotations: list[str] = []
-    if length_consumed > len(encode_remaining_length(length)):
+    # A longer varint than needed ends in a zero byte.
+    if start > 2 and not data[start - 1]:
         annotations.append(A_LENGTH_NOT_MINIMAL)
-    body = _Body(data, 1 + length_consumed, frame_length)
-
-    if cls is Publish:
-        packet = _decode_publish(flags, body, annotations)
-    else:
-        if flags != fixed_flags:
-            annotations.append(A_RESERVED_FLAGS)
-        if cls is Connect:
-            packet = _decode_connect(body, annotations)
-        elif cls is Connack:
-            ack_flags = body.take(1, "connack flags")[0]
-            return_code = body.take(1, "connack return code")[0]
-            if ack_flags & 0xFE:
-                annotations.append(A_CONNACK_FLAGS)
-            if return_code > 5:
-                annotations.append(A_CONNACK_RETURN_CODE)
-            packet = Connack(session_present=bool(ack_flags & 1), return_code=return_code)
-        elif "packet_id" in cls.__dataclass_fields__:  # every other body starts with it
-            packet_id = body.take_u16("packet id")
-            if packet_id == 0:
-                annotations.append(A_PACKET_ID_ZERO)
-            if cls is Subscribe:
-                packet = _decode_subscribe(packet_id, body, annotations)
-            elif cls is Suback:
-                codes = tuple(body.take(body.remaining, "return codes"))
-                if not codes:
-                    annotations.append(A_SUBACK_EMPTY)
-                if any(code not in (0, 1, 2, 0x80) for code in codes):
-                    annotations.append(A_SUBACK_RETURN_CODE)
-                packet = Suback(packet_id=packet_id, return_codes=codes)
-            elif cls is Unsubscribe:
-                filters = []
-                while body.remaining:
-                    filters.append(body.take_string("filter"))
-                if not filters:
-                    annotations.append(A_UNSUBSCRIBE_EMPTY)
-                packet = Unsubscribe(packet_id=packet_id, filters=tuple(filters))
-            else:
-                packet = cls(packet_id=packet_id)
-        else:
-            packet = cls()
-
-    if body.remaining:
-        annotations.append(A_TRAILING_BYTES)
+    decode, cls, fixed_flags = entry
+    if cls is not Publish and first & 0x0F != fixed_flags:
+        annotations.append(A_RESERVED_FLAGS)
+    packet = decode(cls, data, first, start, end, annotations)
     if mode is DecodeMode.STRICT and annotations:
-        raise MalformedFrame("; ".join(annotations), frame_length)
-    return packet, annotations, frame_length
+        raise MalformedFrame("; ".join(annotations), end)
+    return packet, annotations, end
 
 
-def _decode_publish(flags: int, body: _Body, annotations: list[str]) -> Publish:
-    qos = (flags >> 1) & 0x03
-    dup = bool(flags & 0x08)
-    retain = bool(flags & 0x01)
+# Each body decoder takes (class, buffer, fixed-header byte, body start,
+# body end, annotations) and appends its annotations, trailing bytes last.
+# The frame starts at offset 0, so the body's end is the frame's length.
+
+def _decode_publish(cls, data, first, pos, end, annotations) -> Publish:
+    qos = first >> 1 & 0x03
     if qos == 3:
         annotations.append(A_PUBLISH_QOS_3)
-    if dup and qos == 0:
+    if first & 0x08 and not qos:
         annotations.append(A_DUP_ON_QOS0)
-    topic = body.take_string("topic")
-    if not _is_utf8(topic):
+    if end - pos < 2:
+        raise MalformedFrame("topic length overruns the frame body", end)
+    topic_end = pos + 2 + (data[pos] << 8 | data[pos + 1])
+    if topic_end > end:
+        raise MalformedFrame("topic overruns the frame body", end)
+    topic = bytes(data[pos + 2:topic_end])
+    if not topic.isascii() and not _is_utf8(topic):
         annotations.append(A_TOPIC_NOT_UTF8)
     packet_id = None
-    if qos > 0:
+    if qos:
+        if end - topic_end < 2:
+            raise MalformedFrame("packet id overruns the frame body", end)
+        packet_id = data[topic_end] << 8 | data[topic_end + 1]
+        if not packet_id:
+            annotations.append(A_PACKET_ID_ZERO)
+        topic_end += 2
+    return Publish(topic, bytes(data[topic_end:end]), qos, packet_id,
+                   bool(first & 0x01), bool(first & 0x08))
+
+
+def _decode_id_only(cls, data, first, pos, end, annotations) -> Packet:
+    if end - pos < 2:
+        raise MalformedFrame("packet id overruns the frame body", end)
+    packet_id = data[pos] << 8 | data[pos + 1]
+    if not packet_id:
+        annotations.append(A_PACKET_ID_ZERO)
+    if end - pos > 2:
+        annotations.append(A_TRAILING_BYTES)
+    return cls(packet_id)
+
+
+def _decode_empty(cls, data, first, pos, end, annotations) -> Packet:
+    if end > pos:
+        annotations.append(A_TRAILING_BYTES)
+    return cls()
+
+
+def _decode_body(cls, data, first, pos, end, annotations) -> Packet:
+    """CONNECT, CONNACK, SUBSCRIBE, SUBACK or UNSUBSCRIBE, through a cursor."""
+    body = _Body(data, pos, end)
+    if cls is Connect:
+        packet = _decode_connect(body, annotations)
+    elif cls is Connack:
+        ack_flags = body.take(1, "connack flags")[0]
+        return_code = body.take(1, "connack return code")[0]
+        if ack_flags & 0xFE:
+            annotations.append(A_CONNACK_FLAGS)
+        if return_code > 5:
+            annotations.append(A_CONNACK_RETURN_CODE)
+        packet = Connack(bool(ack_flags & 1), return_code)
+    else:
         packet_id = body.take_u16("packet id")
         if packet_id == 0:
             annotations.append(A_PACKET_ID_ZERO)
-    payload = body.take(body.remaining, "payload")
-    return Publish(topic=topic, payload=payload, qos=qos, packet_id=packet_id,
-                   retain=retain, dup=dup)
+        if cls is Subscribe:
+            packet = _decode_subscribe(packet_id, body, annotations)
+        elif cls is Suback:
+            codes = tuple(body.take(body.remaining, "return codes"))
+            if not codes:
+                annotations.append(A_SUBACK_EMPTY)
+            if any(code not in (0, 1, 2, 0x80) for code in codes):
+                annotations.append(A_SUBACK_RETURN_CODE)
+            packet = Suback(packet_id, codes)
+        else:
+            filters = []
+            while body.remaining:
+                filters.append(body.take_string("filter"))
+            if not filters:
+                annotations.append(A_UNSUBSCRIBE_EMPTY)
+            packet = Unsubscribe(packet_id, tuple(filters))
+    if body.remaining:
+        annotations.append(A_TRAILING_BYTES)
+    return packet
 
 
 def _decode_connect(body: _Body, annotations: list[str]) -> Connect:
@@ -546,14 +613,11 @@ def _decode_connect(body: _Body, annotations: list[str]) -> Connect:
     if has_will:
         will_topic = body.take_string("will topic")
         will_payload = body.take_string("will payload")
-        will = Will(topic=will_topic, payload=will_payload,
-                    qos=min(will_qos, 2), retain=will_retain)
+        will = Will(will_topic, will_payload, min(will_qos, 2), will_retain)
     username = body.take_string("username") if has_username else None
     password = body.take_string("password") if has_password else None
-    return Connect(client_id=client_id, clean_session=bool(flags & 0x02),
-                   keep_alive=keep_alive, protocol_name=protocol_name,
-                   protocol_level=protocol_level, will=will,
-                   username=username, password=password)
+    return Connect(client_id, bool(flags & 0x02), keep_alive, protocol_name,
+                   protocol_level, will, username, password)
 
 
 def _decode_subscribe(packet_id: int, body: _Body, annotations: list[str]) -> Subscribe:
@@ -570,7 +634,20 @@ def _decode_subscribe(packet_id: int, body: _Body, annotations: list[str]) -> Su
         entries.append((topic_filter, qos))
     if not entries:
         annotations.append(A_SUBSCRIBE_EMPTY)
-    return Subscribe(packet_id=packet_id, entries=tuple(entries))
+    return Subscribe(packet_id, tuple(entries))
+
+
+_BODY_DECODERS = {
+    **dict.fromkeys((Connect, Connack, Subscribe, Suback, Unsubscribe), _decode_body),
+    **dict.fromkeys((Puback, Pubrec, Pubrel, Pubcomp, Unsuback), _decode_id_only),
+    **dict.fromkeys((Pingreq, Pingresp, Disconnect), _decode_empty),
+    Publish: _decode_publish,
+}
+# Packet type nibble -> (body decoder, class, fixed-header flags); None
+# at the reserved types 0 and 15.
+_DECODERS: list = [None] * 16
+for _cls, (_ptype, _flags) in _HEADERS.items():
+    _DECODERS[_ptype] = (_BODY_DECODERS[_cls], _cls, _flags)
 
 
 def splice(frame: bytes, at: int, remove: int, insert: bytes, fixup_length: bool) -> bytes:

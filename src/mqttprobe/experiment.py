@@ -242,7 +242,7 @@ def expand_steps(experiment: Experiment) -> list[Step]:
 
     def walk(steps: tuple[Step, ...]) -> None:
         for step in steps:
-            if isinstance(step, RepeatStep):
+            if type(step) is RepeatStep:
                 for _ in range(step.count):
                     walk(step.steps)
             else:
@@ -283,7 +283,8 @@ def model_script(experiment: Experiment) -> ScriptModel:
     open_qos2: dict[str, set[int]] = {}
     seen_qos2: dict[str, set[int]] = {}
     for step in expand_steps(experiment):
-        if isinstance(step, SubscribeStep):
+        cls = type(step)
+        if cls is SubscribeStep:
             routed.clear()
             model.subscriber_sessions.add(step.session)
             if not topics.validate_filter(step.filter):
@@ -291,10 +292,10 @@ def model_script(experiment: Experiment) -> ScriptModel:
                 if not any(c in step.filter for c in b"+#"):
                     model.exact_filters.setdefault(step.session, []).append(
                         (step.filter, step.packet_id))
-        elif isinstance(step, UnsubscribeStep):
+        elif cls is UnsubscribeStep:
             routed.clear()
             subscriptions = [f for f in subscriptions if f != step.filter]
-        elif isinstance(step, PublishStep):
+        elif cls is PublishStep:
             identity = (step.topic, step.payload)
             identity = identities.setdefault(identity, identity)
             opened = open_qos2.setdefault(step.session, set())
@@ -312,7 +313,7 @@ def model_script(experiment: Experiment) -> ScriptModel:
                 model.expected.append(identity)
                 if step.qos == 0:
                     model.qos0_identities.add(identity)
-        elif isinstance(step, PubrelStep):
+        elif cls is PubrelStep:
             opened = open_qos2.setdefault(step.session, set())
             opened.discard(step.packet_id)
             if step.packet_id not in seen_qos2.get(step.session, set()):
@@ -336,22 +337,21 @@ def scripted_input_conformant(experiment: Experiment) -> bool:
             return False
     valid_topics: set[bytes] = set()
     for step in expand_steps(experiment):
-        if isinstance(step, (SendRawStep, SpliceNextStep)):
+        cls = type(step)
+        if cls is SendRawStep or cls is SpliceNextStep:
             return False
-        if isinstance(step, SubscribeStep) and topics.validate_filter(step.filter):
-            return False
-        if isinstance(step, UnsubscribeStep) and topics.validate_filter(step.filter):
-            return False
-        if isinstance(step, PublishStep):
+        if cls is SubscribeStep or cls is UnsubscribeStep:
+            if topics.validate_filter(step.filter):
+                return False
+        elif cls is PublishStep:
             if step.topic not in valid_topics:
                 if topics.validate_topic(step.topic):
                     return False
                 valid_topics.add(step.topic)
             if step.packet_id == 0:
                 return False
-        if isinstance(step, (PubackStep, PubrecStep, PubrelStep, PubcompStep)):
-            if step.packet_id == 0:
-                return False
+        elif cls in (PubackStep, PubrecStep, PubrelStep, PubcompStep) and step.packet_id == 0:
+            return False
     return True
 
 
@@ -379,11 +379,16 @@ class _Shared:
         return obj
 
 
+_ABSENT = object()
+
+
 class _Obj:
     """A JSON object being consumed key by key; leftovers are errors.
 
     It consumes ``raw`` itself: the parse owns the ``json.loads`` tree.
     """
+
+    __slots__ = ("raw", "path", "shared")
 
     def __init__(self, raw: object, path: str, shared: _Shared):
         if not isinstance(raw, dict):
@@ -396,16 +401,25 @@ class _Obj:
         return f"{self.path}.{key}" if self.path else key
 
     def take(self, key: str, kind: type, default: object = ...) -> object:
-        if key not in self.raw:
+        value = self.raw.pop(key, _ABSENT)
+        if type(value) is kind:
+            return value
+        if value is _ABSENT:
             if default is ...:
                 raise SchemaError(self.path, f"missing required key {key!r}")
             return default
-        value = self.raw.pop(key)
         if kind is int and isinstance(value, bool):
             raise SchemaError(self.sub(key), "expected an integer, got a boolean")
         if not isinstance(value, kind):
             raise SchemaError(self.sub(key), f"expected {kind.__name__}, got {type(value).__name__}")
         return value
+
+    def take_text(self, key: str, default: object = ...) -> str:
+        """A string that encodes as UTF-8: JSON can escape a lone surrogate."""
+        value = self.take(key, str, default)
+        if value is not None and not value.isascii():  # type: ignore[attr-defined]
+            _utf8(value, self.sub(key))  # type: ignore[arg-type]
+        return value  # type: ignore[return-value]
 
     def take_int(self, key: str, low: int, high: int, default: object = ...) -> int | None:
         value = self.take(key, int, default)
@@ -415,9 +429,8 @@ class _Obj:
             raise SchemaError(self.sub(key), f"{value} outside {low}..{high}")
         return value  # type: ignore[return-value]
 
-    def take_bytes(self, key: str, default: object = ...) -> object:
-        """Accept either a UTF-8 text key or its '<key>_hex' twin."""
-        hex_key = f"{key}_hex"
+    def take_bytes(self, key: str, hex_key: str, default: object = ...) -> object:
+        """Accept either a UTF-8 text key or its ``hex_key`` twin, '<key>_hex'."""
         if key in self.raw and hex_key in self.raw:
             raise SchemaError(self.path, f"{key!r} and {hex_key!r} are mutually exclusive")
         if hex_key in self.raw:
@@ -433,7 +446,7 @@ class _Obj:
             text = self.take(key, str)
             data = self.shared.text.get(text)  # type: ignore[arg-type]
             if data is None:
-                data = self.shared.text[text] = text.encode("utf-8")  # type: ignore[index,union-attr]
+                data = self.shared.text[text] = _utf8(text, self.sub(key))  # type: ignore[index,arg-type]
             return data
         if default is ...:
             raise SchemaError(self.path, f"missing required key {key!r} (or {hex_key!r})")
@@ -445,6 +458,13 @@ class _Obj:
             raise SchemaError(self.sub(key), "unknown key")
 
 
+def _utf8(text: str, path: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(path, "not encodable as UTF-8 (a lone surrogate)") from None
+
+
 # Inclusive bounds of every integer field of a step or session, by name.
 _INT_BOUNDS = {"qos": (0, 2), "packet_id": (0, 65_535), "offset": (0, 2**31),
                "remove": (0, 2**31), "ms": (0, MAX_WAIT_MS), "count": (1, MAX_REPEAT),
@@ -452,7 +472,7 @@ _INT_BOUNDS = {"qos": (0, 2), "packet_id": (0, 65_535), "offset": (0, 2**31),
 
 
 def _field_spec(cls: type) -> tuple:
-    """(name, reader, reader arguments) per document field, in declaration order.
+    """(reader, reader arguments) per document field, in declaration order.
 
     The annotation picks the reader; a field without a default is a
     required key.  A step's ``session`` and a repeat's ``steps`` are read
@@ -464,13 +484,13 @@ def _field_spec(cls: type) -> tuple:
             continue
         default = ... if f.default is MISSING else f.default
         if f.type.startswith("bytes"):
-            spec.append((f.name, _Obj.take_bytes, (f.name, default)))
+            spec.append((_Obj.take_bytes, (f.name, f"{f.name}_hex", default)))
         elif f.type == "bool":
-            spec.append((f.name, _Obj.take, (f.name, bool, default)))
+            spec.append((_Obj.take, (f.name, bool, default)))
         elif f.name in _INT_BOUNDS:
-            spec.append((f.name, _Obj.take_int, (f.name, *_INT_BOUNDS[f.name], default)))
+            spec.append((_Obj.take_int, (f.name, *_INT_BOUNDS[f.name], default)))
         else:
-            spec.append((f.name, _Obj.take, (f.name, str, default)))
+            spec.append((_Obj.take_text, (f.name, default)))
     return tuple(spec)
 
 
@@ -480,36 +500,37 @@ _STEP_FIELDS = {cls.action: (cls, _field_spec(cls)) for cls in get_args(Step)}
 
 def _parse_session(raw: object, path: str, shared: _Shared) -> SessionDecl:
     obj = _Obj(raw, path, shared)
-    decl = SessionDecl(**{name: read(obj, *args) for name, read, args in _SESSION_FIELDS})
+    decl = SessionDecl(*[read(obj, *args) for read, args in _SESSION_FIELDS])
     obj.finish()
     return decl
 
 
 def _parse_step(raw: object, path: str, depth: int, shared: _Shared) -> Step:
     obj = _Obj(raw, path, shared)
-    session = obj.take("session", str)
+    session = obj.take_text("session")
     action = obj.take("action", str)
-    if action not in _STEP_FIELDS:
+    entry = _STEP_FIELDS.get(action)  # type: ignore[arg-type]
+    if entry is None:
         raise SchemaError(obj.sub("action"), f"unknown action {action!r}")
-    cls, spec = _STEP_FIELDS[action]
+    cls, spec = entry
     if cls is RepeatStep and depth >= 4:
         raise SchemaError(path, "repeat nesting deeper than 4")
-    values = {name: read(obj, *args) for name, read, args in spec}
+    values = [read(obj, *args) for read, args in spec]
     if cls is RepeatStep:
         inner = tuple(_parse_step(item, f"{path}.steps[{i}]", depth + 1, shared)
                       for i, item in enumerate(obj.take("steps", list)))  # type: ignore[arg-type]
         if not inner:
             raise SchemaError(obj.sub("steps"), "repeat with no steps")
-        values["steps"] = inner
-    elif cls is PublishStep:
-        qos, packet_id = values["qos"], values["packet_id"]
-        if qos > 0 and packet_id is None:  # type: ignore[operator]
-            raise SchemaError(path, f"publish with qos {qos} requires an explicit packet_id")
-        if qos == 0 and packet_id is not None:
+        values.append(inner)
+    step = cls(session, *values)
+    if cls is PublishStep:
+        if step.qos > 0 and step.packet_id is None:
+            raise SchemaError(path, f"publish with qos {step.qos} requires an explicit packet_id")
+        if step.qos == 0 and step.packet_id is not None:
             raise SchemaError(obj.sub("packet_id"), "not representable on a qos 0 publish; "
                                                     "use splice_next to force one")
     obj.finish()
-    return cls(session, **values)
+    return step
 
 
 def parse_experiment(text: str) -> Experiment:
@@ -521,13 +542,13 @@ def parse_experiment(text: str) -> Experiment:
         raise SchemaError("", f"not valid JSON: {exc}") from None
     del text  # frees the document while the steps are built, unless the caller holds it
     obj = _Obj(raw, "", shared)
-    name = obj.take("name", str)
+    name = obj.take_text("name")
     if not name:
         raise SchemaError("name", "must not be empty")
     # The name is a file name in the trace directory, never a path.
     if name in (".", "..") or any(c in name for c in "/\\\0"):
         raise SchemaError("name", "must not be '.' or '..' or contain '/', '\\' or NUL")
-    description = obj.take("description", str, "")
+    description = obj.take_text("description", "")
     settle_ms = obj.take_int("settle_ms", 0, MAX_SETTLE_MS, DEFAULT_SETTLE_MS)
     sessions_raw = obj.take("sessions", list)
     steps_raw = obj.take("steps", list)
@@ -562,7 +583,7 @@ def parse_experiment(text: str) -> Experiment:
 
 def _expanded_count(steps: tuple[Step, ...]) -> int:
     """How many primitive steps ``expand_steps`` makes of ``steps``, counted, not built."""
-    return sum(step.count * _expanded_count(step.steps) if isinstance(step, RepeatStep) else 1
+    return sum(step.count * _expanded_count(step.steps) if type(step) is RepeatStep else 1
                for step in steps)
 
 
@@ -574,7 +595,7 @@ def _check_session_refs(experiment: Experiment) -> None:
             path = f"{prefix}[{i}]"
             if step.session not in declared:
                 raise UnknownSessionRefError(path, step.session)
-            if isinstance(step, RepeatStep):
+            if type(step) is RepeatStep:
                 walk(step.steps, f"{path}.steps")
 
     walk(experiment.steps, "steps")

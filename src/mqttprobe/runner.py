@@ -132,6 +132,12 @@ SETTLE_GAP_MS = 100
 SPILL_CHUNK = 64
 SPILL_S_PER_BYTE = 1e-8
 SPILL_MARGIN_S = 0.002
+# poll(2) waits whole milliseconds, rounding up, and the kernel may wake
+# it a thousandth of its timeout late (timer slack).  A poll asks it for
+# all but this and that thousandth, then sleeps the rest: ``time.sleep``
+# wakes about 0.05 ms late.
+WAKE_MARGIN_S = 0.001
+_PERMISSIVE = codec.DecodeMode.PERMISSIVE
 
 
 class RunnerError(Exception):
@@ -189,12 +195,13 @@ _REPLIES: dict[type, type] = {
     Connect: Connack, Subscribe: codec.Suback, Unsubscribe: codec.Unsuback,
     Pubrec: Pubrel, Pubrel: Pubcomp, Pingreq: codec.Pingresp,
 }
+_PUBLISH_REPLIES = {1: Puback, 2: Pubrec}  # by qos
 
 
-def _reply_owed(packet: Packet) -> type | None:
-    """The packet type a conformant broker answers ``packet`` with."""
-    if isinstance(packet, Publish):
-        return {1: Puback, 2: Pubrec}.get(packet.qos)
+def _reply_owed(packet: Packet | None) -> type | None:
+    """The packet type a conformant peer answers ``packet`` with."""
+    if type(packet) is Publish:
+        return _PUBLISH_REPLIES.get(packet.qos)
     return _REPLIES.get(type(packet))
 
 
@@ -211,17 +218,21 @@ class _Run:
         self.written = 0             # of ``pending``, already in ``sink``
         self.missing = Counter(experiment.model.expected)  # deliveries yet to arrive
         self.owed = sum(self.missing.values())
-        self.selector = selectors.DefaultSelector()
+        # Not epoll: ``EpollSelector`` passes whole milliseconds as float
+        # seconds, and for about one timeout in eight epoll rounds that up
+        # to one millisecond more.
+        self.selector = getattr(selectors, "PollSelector", selectors.DefaultSelector)()
         self.t0 = time.monotonic()
         self.last_event_at = self.t0
         self.polled_at = self.t0
         self.sessions = {decl.id: _Session(decl, self) for decl in experiment.sessions}
 
-    def record(self, session: str, kind: str, **fields: object) -> None:
-        self.last_event_at = time.monotonic()
-        event = TraceEvent(seq=self.seq,
-                           t_ms=round((self.last_event_at - self.t0) * 1000, 3),
-                           session=session, kind=kind, **fields)  # type: ignore[arg-type]
+    def record(self, session: str, kind: str, packet: Packet | None = None,
+               raw: bytes | None = None, annotations: tuple[str, ...] = (),
+               auto: bool = False, note: str = "") -> None:
+        self.last_event_at = now = time.monotonic()
+        event = TraceEvent(self.seq, round((now - self.t0) * 1000, 3), session, kind,
+                           packet, raw, annotations, auto, note)
         self.seq += 1
         self.consume(event)
         if self.sink is not None:
@@ -235,11 +246,22 @@ class _Run:
             self.owed -= 1
 
     def poll(self, timeout: float) -> None:
-        """One round of the loop: wait up to ``timeout`` s, serve what is ready."""
+        """One round of the loop: wait up to ``timeout`` s, serve what is ready.
+
+        A wait with nothing to serve ends on its deadline, never before it.
+        """
+        now = time.monotonic()
         stall_at = min((s.progress_at + self.endpoint.io_timeout_ms / 1000
                         for s in self.sessions.values() if s.out), default=math.inf)
-        timeout = min(timeout, stall_at - time.monotonic())
-        ready = self.selector.select(None if math.isinf(timeout) else max(0.0, timeout))
+        deadline = min(now + timeout, stall_at)
+        if math.isinf(deadline):
+            ready = self.selector.select(None)
+        else:
+            rest = deadline - now
+            ready = self.selector.select(rest - rest / 1000 - WAKE_MARGIN_S)
+            if not ready and (rest := deadline - time.monotonic()) > 0:
+                time.sleep(rest)
+                ready = self.selector.select(0)
         self.polled_at = time.monotonic()
         for key, mask in ready:
             session = key.data
@@ -405,14 +427,12 @@ class _Session:
             if not auto:
                 self.step_send_failed = True
             return
-        self.run.record(self.decl.id, K_SENT, packet=packet, raw=frame,
-                        auto=auto, note=note)
-        if not auto and isinstance(packet, Disconnect):
+        self.run.record(self.decl.id, K_SENT, packet, frame, (), auto, note)
+        if not auto and type(packet) is Disconnect:
             self.said_bye = True
-        if packet is not None:
-            reply = _reply_owed(packet)
-            if reply is not None:
-                self.unanswered[reply] += 1
+        reply = _reply_owed(packet)
+        if reply is not None:
+            self.unanswered[reply] += 1
         if not self.out:
             self.progress_at = time.monotonic()
         self.out += frame
@@ -489,11 +509,11 @@ class _Session:
         is copied once instead of the buffer tail once per frame.
         """
         pos = 0
+        run, session, unanswered = self.run, self.decl.id, self.unanswered
         with memoryview(self.inbuf) as view:
             while pos < len(view):
                 try:
-                    packet, annotations, consumed = codec.decode_packet(
-                        view[pos:], codec.DecodeMode.PERMISSIVE)
+                    packet, annotations, consumed = codec.decode_packet(view[pos:], _PERMISSIVE)
                 except codec.IncompleteFrame:
                     break
                 except codec.MalformedFrame as exc:
@@ -502,37 +522,24 @@ class _Session:
                         end = pos + exc.frame_length
                     frame = bytes(view[pos:end])
                     pos = end
-                    self.run.record(self.decl.id, K_RECEIVED, packet=Raw(frame),
-                                    raw=frame,
-                                    annotations=(f"malformed: {exc.reason}",))
+                    run.record(session, K_RECEIVED, Raw(frame), frame,
+                               (f"malformed: {exc.reason}",))
                     continue
                 frame = bytes(view[pos:pos + consumed])
                 pos += consumed
-                self.run.record(self.decl.id, K_RECEIVED, packet=packet,
-                                raw=frame, annotations=tuple(annotations))
-                if isinstance(packet, Publish):
-                    self.run.arrived(packet)
-                if self.unanswered[type(packet)] > 0:
-                    self.unanswered[type(packet)] -= 1
-                if self.decl.auto_ack:
-                    self._auto_ack(packet)
+                run.record(session, K_RECEIVED, packet, frame, tuple(annotations))
+                cls = type(packet)
+                if cls is Publish:
+                    run.arrived(packet)
+                if unanswered.get(cls):
+                    unanswered[cls] -= 1
+                # The auto-acks: what this client owes the broker for a
+                # publish of qos 1 or 2, or for a PUBREL.
+                if self.decl.auto_ack and (cls is Publish or cls is Pubrel) \
+                        and (reply := _reply_owed(packet)) is not None:
+                    ack = reply(packet.packet_id)
+                    self._send_frame(codec.encode_packet(ack), ack, auto=True, note="auto-ack")
         del self.inbuf[:pos]
-
-    def _auto_ack(self, packet: Packet) -> None:
-        reply: Packet | None = None
-        if isinstance(packet, Publish) and packet.packet_id is not None:
-            if packet.qos == 1:
-                reply = Puback(packet.packet_id)
-            elif packet.qos == 2:
-                reply = Pubrec(packet.packet_id)
-        elif isinstance(packet, Pubrel):
-            reply = Pubcomp(packet.packet_id)
-        if reply is not None:
-            try:
-                frame = codec.encode_packet(reply)
-            except codec.CodecError:
-                return
-            self._send_frame(frame, packet=reply, auto=True, note="auto-ack")
 
     def local_close(self) -> None:
         if self.sock is None:
@@ -571,10 +578,10 @@ _STEP_PACKETS[UnsubscribeStep] = (Unsubscribe, lambda s: (s.packet_id, (s.filter
 
 
 def _step_packet(step: Step) -> Packet:
-    if type(step) not in _STEP_PACKETS:
+    made = _STEP_PACKETS.get(type(step))
+    if made is None:
         raise RunnerError(f"step {step!r} does not emit a packet")
-    packet_cls, arguments = _STEP_PACKETS[type(step)]
-    return packet_cls(*arguments(step))
+    return made[0](*made[1](step))
 
 
 def check_reachable(endpoint: Endpoint) -> None:
@@ -612,18 +619,19 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint, sink: TextIO | No
     sessions = run.sessions
     steps = expand_steps(experiment)
     tail = len(steps)  # steps[tail:] are all waits
-    while tail and isinstance(steps[tail - 1], WaitStep):
+    while tail and type(steps[tail - 1]) is WaitStep:
         tail -= 1
     try:
         for index, step in enumerate(steps):
             session = sessions[step.session]
-            if isinstance(step, WaitStep):
+            cls = type(step)
+            if cls is WaitStep:
                 run.pump(time.monotonic() + step.ms / 1000, trailing=index >= tail)
-            elif isinstance(step, SpliceNextStep):
+            elif cls is SpliceNextStep:
                 session.pending_splice = step
-            elif isinstance(step, ConnectStep):
+            elif cls is ConnectStep:
                 session.connect(auto=False)
-            elif isinstance(step, DisconnectStep):
+            elif cls is DisconnectStep:
                 if session.sock is not None:
                     session.send_packet(Disconnect(), auto=False)
                     session.wait_sent()

@@ -468,6 +468,20 @@ def test_duplicate_experiment_names_exit_one_before_any_probe(tmp_path, monkeypa
     assert "'ping-once' is used twice" in capsys.readouterr().err
 
 
+def test_a_name_that_is_not_utf8_exits_one_before_any_probe(tmp_path, monkeypatch, capsys):
+    # JSON can escape a lone surrogate, which no trace file name can hold.
+    probes = []
+    monkeypatch.setattr(cli, "probe_liveness",
+                        lambda endpoint: probes.append(endpoint) or Liveness(True))
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"name": "\\ud800", "sessions": [{"id": "f"}], "steps": []}')
+    code = run_cli("run", "--target", "127.0.0.1:1", "--experiment", str(path),
+                   "--traces", str(tmp_path / "traces"))
+    assert code == 1
+    assert probes == []
+    assert "name: not encodable as UTF-8" in capsys.readouterr().err
+
+
 def test_settle_override_applies(broker, tmp_path, capsys):
     path = _write_experiment(tmp_path)
     t0 = time.monotonic()

@@ -1,10 +1,11 @@
 """Wire codec: framing, varint, strict/permissive decode, splicing."""
 
+import dataclasses
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqttprobe import codec
@@ -28,6 +29,7 @@ from mqttprobe.codec import (
     encode_remaining_length,
     splice,
 )
+import reference_codec
 from genpackets import random_valid_packet
 
 # ---------------------------------------------------------------------------
@@ -295,3 +297,106 @@ def test_connack_bad_return_code_annotated():
 
 def test_puback_encodes_two_byte_id():
     assert encode_packet(Puback(packet_id=0xABCD)) == bytes.fromhex("4002abcd")
+
+
+# ---------------------------------------------------------------------------
+# Differential: the codec against the reference it replaced
+
+# The ci profile (tests/conftest.py) raises the default, and with it these sweeps.
+SWEEP = settings(max_examples=max(500, settings.default.max_examples))
+
+
+def _varint(value, width):
+    """``value`` as a varint of ``width`` bytes, zero-padded when that is more than it needs."""
+    digits = [(value >> (7 * i)) & 0x7F for i in range(width)]
+    return bytes(d | 0x80 for d in digits[:-1]) + bytes(digits[-1:])
+
+
+@st.composite
+def wire_inputs(draw):
+    """A generated frame, bent by some of: packet id 0, reserved flags, a
+    non-minimal or lying length, trailing bytes, truncation; or raw bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=64))
+    packet = random_valid_packet(random.Random(draw(st.integers(0, 2**32))))
+    if getattr(packet, "packet_id", None) is not None and draw(st.booleans()):
+        packet = dataclasses.replace(packet, packet_id=0)
+    frame = reference_codec.encode_packet(packet)
+    length, used = reference_codec.decode_remaining_length(frame[1:5])
+    first, body = frame[0], frame[1 + used:]
+    if draw(st.booleans()):
+        first = first & 0xF0 | draw(st.integers(0, 15))
+    if draw(st.booleans()):
+        body += draw(st.binary(min_size=1, max_size=8))
+    length = len(body)
+    if draw(st.booleans()):
+        length = max(0, length + draw(st.integers(-4, 4)))
+    width = len(encode_remaining_length(length))
+    frame = bytes([first]) + _varint(length, draw(st.integers(width, 4))) + body
+    if draw(st.booleans()):
+        frame = frame[:draw(st.integers(0, len(frame)))]
+    return frame
+
+
+def _decoded(decode, data, mode):
+    try:
+        return decode(data, mode)
+    except MalformedFrame as exc:
+        return MalformedFrame, exc.reason, exc.frame_length
+    except IncompleteFrame as exc:
+        return IncompleteFrame, str(exc)
+
+
+@pytest.mark.parametrize("mode", list(DecodeMode))
+@given(wire_inputs())
+@SWEEP
+@example(bytes.fromhex("3080808080"))
+@example(bytes.fromhex("308080808001"))
+@example(bytes.fromhex("30808080"))
+@example(bytes.fromhex("308000"))
+@example(b"\xf0\x00")
+@example(b"\x30")
+@example(b"")
+def test_decode_matches_the_reference(mode, data):
+    expected = _decoded(reference_codec.decode_packet, data, mode)
+    assert _decoded(decode_packet, data, mode) == expected
+    # As a stream reader passes it: a view into a larger buffer.
+    with memoryview(bytearray(b"\xff" + data + b"\x00")) as view:
+        assert _decoded(decode_packet, view[1:len(data) + 1], mode) == expected
+
+
+def _encoded(encode, packet):
+    try:
+        return encode(packet)
+    except codec.InvariantViolation as exc:
+        return codec.InvariantViolation, exc.field, exc.reason
+
+
+_IDS = st.sampled_from([None, -1, 0, 1, 0x7F, 0x80, 0xFFFF, 0x10000])
+_TOPICS = st.binary(max_size=200) | st.sampled_from([b"t" * 65_535, b"t" * 65_536])
+_ODD_PACKETS = st.one_of(
+    st.builds(Publish, _TOPICS, st.binary(max_size=300), st.integers(-1, 3), _IDS,
+              st.booleans(), st.booleans()),
+    st.builds(Connack, st.booleans(), st.integers(-1, 6)),
+    *(st.builds(cls, _IDS.filter(lambda i: i is not None))
+      for cls in (Puback, codec.Pubrec, Pubrel, codec.Pubcomp, codec.Unsuback)),
+    st.builds(Subscribe, _IDS.filter(lambda i: i is not None),
+              st.lists(st.tuples(_TOPICS, st.integers(-1, 3)), max_size=3)),
+    st.builds(codec.Suback, _IDS.filter(lambda i: i is not None),
+              st.lists(st.sampled_from([0, 1, 2, 3, 0x80, 0xFF]), max_size=3)),
+    st.builds(codec.Unsubscribe, _IDS.filter(lambda i: i is not None),
+              st.lists(_TOPICS, max_size=3)),
+    st.builds(Connect, st.binary(max_size=20), st.booleans(), st.integers(-1, 0x10000),
+              st.sampled_from([b"MQTT", b"t" * 65_536]), st.integers(-1, 256),
+              st.none() | st.builds(Will, _TOPICS, st.binary(max_size=20),
+                                    st.integers(-1, 3), st.booleans()),
+              st.none() | st.binary(max_size=8), st.none() | st.binary(max_size=8)),
+    st.builds(codec.Raw, st.binary(max_size=20)),
+)
+
+
+@given(st.integers(0, 2**32) | _ODD_PACKETS)
+@SWEEP
+def test_encode_matches_the_reference(drawn):
+    packet = random_valid_packet(random.Random(drawn)) if isinstance(drawn, int) else drawn
+    assert _encoded(encode_packet, packet) == _encoded(reference_codec.encode_packet, packet)

@@ -300,32 +300,80 @@ def test_top_level_not_object():
         parse_experiment("not json at all {")
 
 
-@given(st.text(max_size=200))
-@settings(max_examples=300)
+# The ci profile (tests/conftest.py) raises the default, and with it these sweeps.
+SWEEP = settings(max_examples=max(300, settings.default.max_examples))
+# Any character, and often a lone surrogate: JSON can escape one, and a str can hold one.
+_TEXT = st.characters(exclude_categories=()) \
+    | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=())
+
+
+def _assert_usable(parsed):
+    """Every text of a parsed experiment encodes: as a file name, a report, a CONNECT."""
+    assert isinstance(parsed, Experiment)
+    parsed.name.encode("utf-8")
+    parsed.description.encode("utf-8")
+    for decl in parsed.sessions:
+        decl.to_connect()
+    render_experiment(parsed).encode("utf-8")
+
+
+@given(st.text(_TEXT, max_size=200))
+@SWEEP
 def test_parser_totality_on_text(blob):
     try:
         parsed = parse_experiment(blob)
     except ExperimentError:
         return
-    assert isinstance(parsed, Experiment)
+    _assert_usable(parsed)
 
 
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.text(_TEXT, max_size=8),
     lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    | st.dictionaries(st.text(_TEXT, max_size=8), children, max_size=4),
     max_leaves=12,
 )
 
 
 @given(_JSON)
-@settings(max_examples=300)
+@SWEEP
 def test_parser_totality_on_json_shapes(value):
     try:
         parsed = parse_experiment(json.dumps(value))
     except ExperimentError:
         return
-    assert isinstance(parsed, Experiment)
+    _assert_usable(parsed)
+
+
+_TEXT_FIELDS = [("name",), ("description",), ("sessions", 0, "id"),
+                ("sessions", 0, "client_id"), ("sessions", 0, "username"),
+                ("sessions", 0, "password"), ("steps", 0, "session"),
+                ("steps", 0, "topic"), ("steps", 0, "payload")]
+
+
+@given(st.sampled_from(_TEXT_FIELDS), st.text(_TEXT, max_size=8))
+@SWEEP
+def test_a_text_field_parses_or_names_its_path(field, text):
+    doc = {"name": "t", "sessions": [{"id": "f"}],
+           "steps": [{"session": "f", "action": "publish", "topic": "t"}]}
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = text
+    # JSON joins an escaped surrogate pair into one character.
+    encodable = not any(0xD800 <= ord(c) <= 0xDFFF for c in json.loads(json.dumps(text)))
+    try:
+        parsed = parse_experiment(json.dumps(doc))
+    except SchemaError as exc:
+        if not encodable:
+            assert exc.path == "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                       for k in field).lstrip(".")
+        return
+    except ExperimentError:
+        assert encodable
+        return
+    assert encodable
+    _assert_usable(parsed)
 
 
 def test_wait_step_parses():

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import socket
+import statistics
 import threading
 import time
 import weakref
@@ -680,3 +681,32 @@ def test_spill_leaves_a_short_wait_on_time(tmp_path):
     with path.open(encoding="utf-8") as written:
         for line, event in zip(written, events, strict=True):
             assert line == event_line(event)
+
+
+def test_waits_end_on_their_deadline(endpoint, monkeypatch):
+    # Each wait wakes for the PUBACK and the delivery, then polls again with
+    # a fraction of a millisecond it must not round up to a whole one.
+    ends = []
+    pump = runner._Run.pump
+
+    def timed(run, until, trailing=False):
+        pump(run, until, trailing)
+        ends.append(time.monotonic() - until)
+
+    monkeypatch.setattr(runner._Run, "pump", timed)
+    steps = [{"action": "subscribe", "session": "s", "filter": "wait/#", "qos": 1}]
+    for i in range(60):
+        steps += [{"action": "publish", "session": "p", "topic": "wait/t",
+                   "payload": str(i), "qos": 1, "packet_id": i + 1},
+                  {"action": "wait", "session": "p", "ms": 2 + i % 4}]
+    steps.append({"action": "pingreq", "session": "p"})
+    exp = _exp({"name": "waits", "sessions": [{"id": "s"}, {"id": "p"}],
+                "settle_ms": 200, "steps": steps})
+    trace = run_experiment(exp, endpoint)
+    assert trace.outcome == OUTCOME_COMPLETED
+    assert sum(e.kind == K_RECEIVED and isinstance(e.packet, Publish)
+               for e in trace.events) == 60
+    assert len(ends) == 60
+    assert min(ends) >= 0, f"a wait ended {-min(ends) * 1000:.3f} ms early"
+    overshoot = statistics.median(ends)
+    assert overshoot < 0.0002, f"median overshoot {overshoot * 1000:.3f} ms"
