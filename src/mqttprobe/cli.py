@@ -22,6 +22,7 @@ import itertools
 import json
 import logging
 import os
+import signal
 import sys
 import time
 from collections.abc import Iterable, Iterator, Sequence
@@ -420,6 +421,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return EXIT_LOCAL_ERROR
     print(f"mqttprobe: reference broker listening on "
           f"{args.host}:{broker.port}", file=sys.stderr, flush=True)
+    stopping = False
+
+    def interrupt(signum: int, frame: object) -> None:
+        # SIGTERM stops the broker as Ctrl-C does; a later signal cannot cut
+        # the stop short.  The handler stays installed: one swapped for
+        # SIG_IGN while a signal is pending raises in whatever code runs.
+        nonlocal stopping
+        if not stopping:
+            stopping = True
+            raise KeyboardInterrupt
+
+    signal.signal(signal.SIGINT, interrupt)
+    signal.signal(signal.SIGTERM, interrupt)
     try:
         while True:
             time.sleep(0.5)

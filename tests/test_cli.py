@@ -637,6 +637,29 @@ def test_serve_listens_and_stops_on_interrupt():
             proc.wait()
 
 
+def test_serve_stops_cleanly_on_sigterm():
+    # A supervisor stops the broker with SIGTERM: it must log its counters
+    # and exit 0 as on Ctrl-C, even when a second signal follows at once.
+    proc = subprocess.Popen([sys.executable, "-m", "mqttprobe", "serve", "--port", "0"],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 10
+        line = ""
+        while "listening on" not in line and time.monotonic() < deadline:
+            line = proc.stderr.readline()
+        assert "listening on" in line
+        proc.send_signal(signal.SIGTERM)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, err
+    assert "event=stats" in err and "event=stopped" in err, err
+    assert "Traceback" not in err, err
+
+
 def test_env_defaults_supply_target(broker, tmp_path, capsys, monkeypatch):
     path = _write_experiment(tmp_path)
     monkeypatch.setenv("MQTTPROBE_TARGET", f"127.0.0.1:{broker.port}")

@@ -562,6 +562,7 @@ def test_stats_count_a_scripted_session():
     assert stats["frames_in"] == {"connect": 4, "subscribe": 2, "publish": 3,
                                   "pubrel": 1, "pingreq": 2, "disconnect": 1}
     assert stats["routed"] == 3
+    assert stats["turns_cut"] == 0
     # CONNACK x4, SUBACK, 3 deliveries, PUBACK, PUBREC, PUBCOMP, PINGRESP
     assert stats["frames_out"] == 12
     assert stats["closes"] == dict.fromkeys(refbroker.CLOSE_REASONS, 0) | {
@@ -591,3 +592,133 @@ def test_large_publish_is_buffered_in_linear_time(broker):
         c.close()
     assert elapsed < 1.0, f"{size >> 20} MiB PUBLISH took {elapsed:.2f} s"
     assert broker.stats()["frames_in"]["publish"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Bounded turns: read order kept, a new client answered inside a backlog
+
+
+def _connect(port, client_id):
+    client = MiniClient(port)
+    client.send(Connect(client_id=client_id))
+    assert isinstance(client.recv_packet(), Connack)
+    return client
+
+
+def _hold_dispatch(monkeypatch, kind):
+    """Record each dispatched packet's type; hold the first ``kind`` until released.
+
+    Returns (kinds, held, release): ``held`` is set when the loop reaches
+    that packet, and the loop waits for ``release`` before dispatching it.
+    """
+    kinds, held, release = [], threading.Event(), threading.Event()
+    dispatch = refbroker.RefBroker._dispatch
+
+    def hold_and_record(self, conn, packet, *rest):
+        if isinstance(packet, kind) and not held.is_set():
+            held.set()
+            release.wait(5)
+        kinds.append(type(packet).__name__)
+        dispatch(self, conn, packet, *rest)
+
+    monkeypatch.setattr(refbroker.RefBroker, "_dispatch", hold_and_record)
+    return kinds, held, release
+
+
+def test_a_burst_routes_ahead_of_a_publish_read_after_it(broker):
+    # A's burst arrives in one read; B's publish is read while it is still
+    # being dispatched, over many turns, and must not pass it.
+    count = 64 * refbroker.TURN_FRAMES
+    sub = _connect(broker.port, b"s")
+    sub.send(Subscribe(packet_id=1, entries=((b"t", 0),)))
+    sub.recv_packet()
+    a, b = _connect(broker.port, b"a"), _connect(broker.port, b"b")
+    try:
+        a.send_raw(b"".join(encode_packet(Publish(topic=b"t", payload=b"a%d" % i))
+                            for i in range(count)))
+        got = [sub.recv_packet().payload]
+        b.send(Publish(topic=b"t", payload=b"b"))
+        got += [sub.recv_packet().payload for _ in range(count)]
+    finally:
+        for client in (sub, a, b):
+            client.close()
+    assert got == [b"a%d" % i for i in range(count)] + [b"b"]
+
+
+def test_new_client_is_answered_inside_another_connections_backlog(broker, monkeypatch):
+    count = 4 * refbroker.TURN_FRAMES
+    kinds, held, release = _hold_dispatch(monkeypatch, Pingreq)
+    busy = _connect(broker.port, b"busy")
+    fresh = MiniClient(broker.port)
+    try:
+        assert _wait_for(lambda: broker.stats()["accepted"] == 2)
+        busy.send_raw(encode_packet(Pingreq()) * count)
+        assert held.wait(5)
+        # The backlog is read and its first frame in dispatch: the new
+        # client's CONNECT is read at the next poll, one turn later at most.
+        fresh.send(Connect(client_id=b"fresh"))
+        release.set()
+        assert isinstance(fresh.recv_packet(), Connack)
+        assert [busy.recv_packet() for _ in range(count)] == [Pingresp()] * count
+    finally:
+        release.set()
+        busy.close()
+        fresh.close()
+    backlog = kinds[1:]  # after the busy client's own CONNECT
+    assert backlog.count("Pingreq") == count
+    assert backlog.index("Connect") < len(backlog) - refbroker.TURN_FRAMES, backlog
+    assert broker.stats()["turns_cut"] > 0
+
+
+def test_a_flood_across_turns_and_a_split_frame_get_every_reply_in_order(broker):
+    # Groups of PINGREQs, each closed by a QoS 1 PUBLISH whose PUBACK marks
+    # its place in the replies; the stream is cut inside one PUBLISH.
+    groups, run = 8, refbroker.TURN_FRAMES + 3
+    stream, expected, marks = bytearray(), [], []
+    for i in range(1, groups + 1):
+        stream += encode_packet(Pingreq()) * run
+        expected += [Pingresp()] * run
+        marks.append(len(stream))
+        stream += encode_packet(Publish(topic=b"nobody", payload=b"x" * 40, qos=1,
+                                        packet_id=i))
+        expected.append(Puback(packet_id=i))
+    split = marks[3] + 5  # inside the fourth PUBLISH
+    before = 4 * run + 3  # replies to every frame ahead of it
+    c = _connect(broker.port, b"flood")
+    try:
+        c.send_raw(bytes(stream[:split]))
+        got = [c.recv_packet() for _ in range(before)]
+        c.send_raw(bytes(stream[split:]))
+        got += [c.recv_packet() for _ in range(len(expected) - before)]
+    finally:
+        c.close()
+    assert got == expected
+    assert broker.stats()["turns_cut"] > 0
+
+
+def test_takeover_connect_waits_behind_the_holders_backlog(broker, monkeypatch):
+    # The holder's burst was read before the taking-over CONNECT, so all of
+    # it is routed before the holder is evicted.
+    count = 4 * refbroker.TURN_FRAMES
+    kinds, held, release = _hold_dispatch(monkeypatch, Publish)
+    sub = _connect(broker.port, b"s")
+    sub.send(Subscribe(packet_id=1, entries=((b"t", 0),)))
+    sub.recv_packet()
+    holder = _connect(broker.port, b"dup")
+    taker = MiniClient(broker.port)
+    try:
+        assert _wait_for(lambda: broker.stats()["accepted"] == 3)
+        holder.send_raw(b"".join(encode_packet(Publish(topic=b"t", payload=b"%d" % i))
+                                 for i in range(count)))
+        assert held.wait(5)
+        taker.send(Connect(client_id=b"dup"))
+        release.set()
+        assert isinstance(taker.recv_packet(), Connack)
+        holder.expect_close()
+        got = [sub.recv_packet().payload for _ in range(count)]
+    finally:
+        release.set()
+        for client in (sub, holder, taker):
+            client.close()
+    assert got == [b"%d" % i for i in range(count)]
+    assert kinds[-1] == "Connect" and kinds.count("Publish") == count
