@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqttprobe import cli, corpus, runner
+from mqttprobe import cli, corpus, fuzzer, refbroker, runner
 from mqttprobe.codec import (
     Connack,
+    Connect,
     DecodeMode,
     IncompleteFrame,
     Pingresp,
@@ -224,9 +225,9 @@ def test_trace_dump_round_trips(broker, tmp_path, capsys):
 def test_streamed_outputs_equal_the_whole_serializers(broker, tmp_path, capsys,
                                                      monkeypatch):
     # One string a chunk makes the report cross many chunk boundaries.
-    monkeypatch.setattr(cli, "JSON_CHUNK_ROWS", 1)
+    monkeypatch.setattr(fuzzer, "JSON_CHUNK_ROWS", 1)
     traces, reports = [], []
-    run_experiment, json_report = runner.run_experiment, cli._json_report
+    run_experiment, json_report = runner.run_experiment, fuzzer._json_report
 
     def recording_run_experiment(experiment, endpoint, sink=None, consumer=None):
         # The run's consumer is the judge; a collector records the events too.
@@ -241,7 +242,7 @@ def test_streamed_outputs_equal_the_whole_serializers(broker, tmp_path, capsys,
         return reports[-1]
 
     monkeypatch.setattr(runner, "run_experiment", recording_run_experiment)
-    monkeypatch.setattr(cli, "_json_report", recording_json_report)
+    monkeypatch.setattr(fuzzer, "_json_report", recording_json_report)
     path = _write_experiment(tmp_path, name="stream", steps=[
         {"action": "subscribe", "session": "f", "filter": "t/#", "qos": 2,
          "packet_id": 1},
@@ -302,7 +303,7 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 @settings(max_examples=400, deadline=None)
 def test_json_writer_equals_json_dumps(value):
-    assert "".join(cli.json_chunks(value)) == json.dumps(value, indent=2)
+    assert "".join(fuzzer.json_chunks(value)) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("value", [
@@ -315,9 +316,9 @@ def test_json_writer_equals_json_dumps(value):
     list(range(200)) + [[1]],
 ])
 def test_json_writer_equals_json_dumps_on_runs_of_rows(value, monkeypatch):
-    for rows in (1, 7, cli.JSON_CHUNK_ROWS):
-        monkeypatch.setattr(cli, "JSON_CHUNK_ROWS", rows)
-        assert "".join(cli.json_chunks(value)) == json.dumps(value, indent=2), rows
+    for rows in (1, 7, fuzzer.JSON_CHUNK_ROWS):
+        monkeypatch.setattr(fuzzer, "JSON_CHUNK_ROWS", rows)
+        assert "".join(fuzzer.json_chunks(value)) == json.dumps(value, indent=2), rows
 
 
 def test_trace_writer_streams_a_large_trace(tmp_path):
@@ -369,7 +370,7 @@ def test_run_holds_one_trace_at_a_time(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(runner, "run_experiment", large_trace)
     monkeypatch.setattr(runner, "probe_liveness", lambda endpoint: Liveness(True))
-    monkeypatch.setattr(cli, "probe_liveness", lambda endpoint: Liveness(True))
+    monkeypatch.setattr(fuzzer, "probe_liveness", lambda endpoint: Liveness(True))
     paths = [_write_experiment(tmp_path, name=name) for name in ("first", "second")]
     tracemalloc.start()
     try:
@@ -441,7 +442,7 @@ def test_run_releases_each_experiment_once_judged(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(runner, "run_experiment", run)
     monkeypatch.setattr(runner, "probe_liveness", lambda endpoint: Liveness(True))
-    monkeypatch.setattr(cli, "probe_liveness", lambda endpoint: Liveness(True))
+    monkeypatch.setattr(fuzzer, "probe_liveness", lambda endpoint: Liveness(True))
     paths = [_write_experiment(tmp_path, name=name) for name in ("a", "b", "c")]
     gc.disable()
     try:
@@ -458,7 +459,7 @@ def test_duplicate_experiment_names_exit_one_before_any_probe(tmp_path, monkeypa
                                                               capsys):
     # Both would write one trace file and share one profile entry.
     probes = []
-    monkeypatch.setattr(cli, "probe_liveness",
+    monkeypatch.setattr(fuzzer, "probe_liveness",
                         lambda endpoint: probes.append(endpoint) or Liveness(True))
     path = _write_experiment(tmp_path)
     code = run_cli("run", "--target", "127.0.0.1:1",
@@ -471,7 +472,7 @@ def test_duplicate_experiment_names_exit_one_before_any_probe(tmp_path, monkeypa
 def test_a_name_that_is_not_utf8_exits_one_before_any_probe(tmp_path, monkeypatch, capsys):
     # JSON can escape a lone surrogate, which no trace file name can hold.
     probes = []
-    monkeypatch.setattr(cli, "probe_liveness",
+    monkeypatch.setattr(fuzzer, "probe_liveness",
                         lambda endpoint: probes.append(endpoint) or Liveness(True))
     path = tmp_path / "surrogate.json"
     path.write_text('{"name": "\\ud800", "sessions": [{"id": "f"}], "steps": []}')
@@ -510,13 +511,25 @@ def test_bad_settle_or_port_exits_one_before_any_probe(argv, env, monkeypatch, c
     # A negative settle window would cut QoS 2 handshakes short and report
     # lost messages against a conformant broker.
     calls = []
-    monkeypatch.setattr(cli, "probe_liveness", lambda endpoint: calls.append("probe"))
-    monkeypatch.setattr(cli.refbroker, "serve", lambda **kw: calls.append("serve"))
+
+    def recorded(name, error):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise error(f"no {name} in this test")
+        return call
+
+    monkeypatch.setattr(fuzzer, "probe_liveness", recorded("probe", runner.RunnerError))
+    monkeypatch.setattr(refbroker, "serve", recorded("serve", refbroker.BrokerBindError))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert run_cli(*argv) == 1
     assert calls == []
     assert "error: argument" in capsys.readouterr().err
+    # The patched functions are the ones run and serve call: valid arguments reach them.
+    assert run_cli("run", "--target", "127.0.0.1:1", "--corpus", "--settle-ms", "0") == 1
+    assert run_cli("serve", "--port", "0") == 1
+    assert calls == ["probe", "serve"]
+    assert "no serve in this test" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "600000"])
@@ -623,7 +636,6 @@ def test_serve_listens_and_stops_on_interrupt():
         assert str(port) in line
         # It serves real MQTT while up.
         s = socket.create_connection(("127.0.0.1", port), timeout=5)
-        from mqttprobe.codec import Connect
         s.sendall(encode_packet(Connect(client_id=b"smoke")))
         reply = s.recv(4096)
         packet, _, _ = decode_packet(reply, DecodeMode.PERMISSIVE)
@@ -658,6 +670,49 @@ def test_serve_stops_cleanly_on_sigterm():
     assert proc.returncode == 0, err
     assert "event=stats" in err and "event=stopped" in err, err
     assert "Traceback" not in err, err
+
+
+# Run in a fresh interpreter: the command, then the names of every module it loaded.
+_LOADED_BY = ("import sys; from mqttprobe.cli import main; code = main(sys.argv[1:]); "
+              "print(*sorted(sys.modules)); raise SystemExit(code)")
+_FUZZER_MODULES = {"mqttprobe.fuzzer", "mqttprobe.oracle", "mqttprobe.runner", "mqttprobe.trace",
+                   "mqttprobe.corpus", "mqttprobe.profiles", "hashlib", "_hashlib"}
+
+
+def test_each_command_loads_only_what_it_runs():
+    # The broker process holds none of the fuzzer: no runner, oracle,
+    # corpus or OpenSSL hashing.  Modules stay loaded, so listing them at
+    # exit covers the whole time the broker served.
+    proc = subprocess.Popen([sys.executable, "-c", _LOADED_BY, "serve", "--port", "0"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 10
+        line = ""
+        while "listening on" not in line and time.monotonic() < deadline:
+            line = proc.stderr.readline()
+        port = int(line.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+            s.sendall(encode_packet(Connect(client_id=b"modules")))
+            packet, _, _ = decode_packet(s.recv(4096), DecodeMode.PERMISSIVE)
+        assert isinstance(packet, Connack)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, err
+    served = set(out.split())
+    assert "mqttprobe.refbroker" in served
+    assert not served & _FUZZER_MODULES, sorted(served & _FUZZER_MODULES)
+
+    # A run loads the fuzzer, but not the broker or the documented profiles.
+    done = subprocess.run([sys.executable, "-c", _LOADED_BY, "run", "--target", "127.0.0.1:1",
+                           "--corpus"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    ran = set(done.stdout.split())
+    assert {"mqttprobe.fuzzer", "mqttprobe.runner", "mqttprobe.oracle"} <= ran
+    assert not ran & {"mqttprobe.refbroker", "mqttprobe.profiles"}, sorted(ran)
 
 
 def test_env_defaults_supply_target(broker, tmp_path, capsys, monkeypatch):
