@@ -5,12 +5,11 @@ diff (compare two behavior profiles, live or documented), serve (start
 the bundled reference broker), corpus (inspect the built-in corpus).
 
 Each command loads only what it runs.  This module holds the parser,
-``main`` and serve, and imports only the standard library and
-``experiment`` (for the settle bound).  serve loads the reference broker
-(with the codec and topic rules) and none of the fuzzer.  run, diff and
-corpus live in ``fuzzer``, which ``main`` imports for them alone; run
-never loads the reference broker, and only diff loads the documented
-profiles.
+``main`` and serve, and imports only the standard library.  serve loads
+the reference broker (with the codec and topic rules) and none of the
+fuzzer or the experiment parser.  run, diff and corpus live in
+``fuzzer``, which ``main`` imports for them alone; run never loads the
+reference broker, and only diff loads the documented profiles.
 
 Every flag with an environment twin reads it as its default:
 MQTTPROBE_TARGET, MQTTPROBE_FORMAT, MQTTPROBE_SETTLE_MS,
@@ -31,7 +30,6 @@ import sys
 import time
 
 from . import __version__
-from .experiment import MAX_SETTLE_MS
 
 EXIT_CLEAN = 0
 EXIT_LOCAL_ERROR = 1
@@ -60,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--format", choices=("json", "md"),
                        default=_env("FORMAT", "md"))
     # A string default (an environment twin) goes through ``type`` too.
-    run_p.add_argument("--settle-ms", type=_int_within(MAX_SETTLE_MS),
+    run_p.add_argument("--settle-ms", type=_settle_ms,
                        default=_env("SETTLE_MS"), metavar="MS",
                        help="override every experiment's settle window")
     run_p.add_argument("--fail-on", choices=("warning", "dos", "critical"),
@@ -103,6 +101,12 @@ def _int_within(high: int):
             raise argparse.ArgumentTypeError(f"{value} is outside 0..{high}")
         return value
     return parse
+
+
+def _settle_ms(text: str) -> int:
+    """The --settle-ms type, bounded as a script's own settle_ms; read only for run."""
+    from .experiment import MAX_SETTLE_MS
+    return _int_within(MAX_SETTLE_MS)(text)
 
 
 def main(argv: list[str] | None = None) -> int:

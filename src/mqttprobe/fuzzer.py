@@ -2,7 +2,9 @@
 
 ``cli.main`` imports this module only for these commands, so the
 reference broker's process never loads the runner, the oracle, the
-corpus or hashlib.  diff alone loads the documented profiles.
+corpus or hashlib.  diff alone loads the documented profiles.  run and a
+live diff source take one judged path: ``runner.run_corpus``, then
+``oracle.fingerprint``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from collections.abc import Iterable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import __version__, oracle
+from . import __version__
 from .cli import EXIT_ANOMALIES, EXIT_CLEAN, EXIT_LOCAL_ERROR
 from .corpus import builtin_corpus, corpus_by_name, corpus_hash
 from .experiment import Experiment, ExperimentError, parse_experiment, render_experiment
@@ -25,16 +27,13 @@ from .oracle import (
     SEVERITY_BY_CODE,
     BehaviorProfile,
     NoOverlapError,
-    ScenarioOutcome,
     Severity,
     diff_profiles,
-    evaluate_result,
     fingerprint,
-    fingerprint_outcomes,
     outcome_to_obj,
     profile_to_obj,
 )
-from .runner import Endpoint, RunnerError, probe_liveness, run_corpus, run_in_turn
+from .runner import Endpoint, RunnerError, probe_liveness, run_corpus
 from .trace import CorpusResult
 
 # What main reports as a local error (exit 1) besides an OSError.
@@ -72,29 +71,29 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("mqttprobe: error: nothing to run; pass --corpus or --experiment",
               file=sys.stderr)
         return EXIT_LOCAL_ERROR
-    endpoint = Endpoint.parse(args.target)
-    first_probe = probe_liveness(endpoint)
-    if not first_probe.alive:
-        print(f"mqttprobe: error: target {endpoint.label} is not answering: "
-              f"{first_probe.detail}", file=sys.stderr)
-        return EXIT_LOCAL_ERROR
-
-    # map frees each full result once judged; a loop variable would hold it.
-    results, outcomes = zip(*map(_judge, run_in_turn(_released(experiments), endpoint,
-                                                     args.traces or None, oracle.Judge)))
+    endpoint = _answering(args.target)
+    results = list(run_corpus(_released(experiments), endpoint, args.traces or None))
     label = args.label or args.target
-    profile = fingerprint_outcomes(results, outcomes, broker_label=label)
+    profile = fingerprint(results, broker_label=label)
 
     threshold = Severity.from_label(args.fail_on)
     exit_code = EXIT_ANOMALIES if _worst_severity(profile) >= threshold else EXIT_CLEAN
     if args.format == "json":
-        report = _json_report(args.target, results, outcomes, profile,
-                              args.fail_on, exit_code)
+        report = _json_report(args.target, results, profile, args.fail_on, exit_code)
         chunks = itertools.chain(json_chunks(report), ("\n",))
     else:
-        chunks = [_md_report(label, results, outcomes, profile)]
+        chunks = [_md_report(label, results, profile)]
     _write_report(chunks, args.output)
     return exit_code
+
+
+def _answering(target: str) -> Endpoint:
+    """The endpoint ``target`` names, once it answers a liveness probe."""
+    endpoint = Endpoint.parse(target)
+    probe = probe_liveness(endpoint)
+    if not probe.alive:
+        raise RunnerError(f"target {endpoint.label} is not answering: {probe.detail}")
+    return endpoint
 
 
 def _released(experiments: list[Experiment]) -> Iterator[Experiment]:
@@ -102,13 +101,6 @@ def _released(experiments: list[Experiment]) -> Iterator[Experiment]:
     experiments.reverse()
     while experiments:
         yield experiments.pop()
-
-
-def _judge(result: CorpusResult) -> tuple[CorpusResult, ScenarioOutcome | None]:
-    """Finish the run's judge; keep what the reports read, not the script or the judge."""
-    outcome = evaluate_result(result)
-    return dataclasses.replace(result, experiment=Experiment(result.experiment.name),
-                               judge=None), outcome
 
 
 def _write_report(chunks: Iterable[str], output: str | None) -> None:
@@ -201,19 +193,19 @@ def _report_meta(target: str) -> dict:
             "generated_at": time.time()}
 
 
-def _json_report(target: str, results: list[CorpusResult],
-                 outcomes: list[ScenarioOutcome | None], profile: BehaviorProfile,
+def _json_report(target: str, results: list[CorpusResult], profile: BehaviorProfile,
                  fail_on: str, exit_code: int) -> dict:
     scenarios = []
-    for result, outcome in zip(results, outcomes):
+    for result in results:
         entry: dict = {"experiment": result.experiment.name,
                        "skipped": result.skipped,
                        "liveness": {"alive": result.liveness.alive,
                                     "detail": result.liveness.detail}}
         if result.trace is not None:
             entry["trace_outcome"] = result.trace.outcome
-            if outcome is not None:
-                entry["outcome"] = outcome_to_obj(outcome, profile.outcomes[entry["experiment"]])
+            if result.outcome is not None:
+                entry["outcome"] = outcome_to_obj(result.outcome,
+                                                  profile.outcomes[entry["experiment"]])
         scenarios.append(entry)
     report = _report_meta(target)
     report.update({"fail_on": fail_on, "exit_code": exit_code,
@@ -233,8 +225,7 @@ def _security_problems(profile: BehaviorProfile) -> str:
     return " and ".join(parts) + "." if parts else "None observed."
 
 
-def _md_report(label: str, results: list[CorpusResult],
-               outcomes: list[ScenarioOutcome | None], profile: BehaviorProfile) -> str:
+def _md_report(label: str, results: list[CorpusResult], profile: BehaviorProfile) -> str:
     meta = _report_meta(label)
     findings = [f"{name}: {', '.join(summary.anomalies)}"
                 for name, summary in sorted(profile.outcomes.items())
@@ -256,21 +247,16 @@ def _md_report(label: str, results: list[CorpusResult],
         "## Scenario detail",
         "",
     ]
-    for result, outcome in zip(results, outcomes):
-        name = result.experiment.name
-        summary = profile.outcomes.get(name)
-        if summary is None:
+    for result in results:
+        name, outcome = result.experiment.name, result.outcome
+        skipped = profile.outcomes[name].skipped  # set for every result without an outcome
+        if skipped is not None:
+            lines.append(f"- `{name}`: skipped ({skipped})")
             continue
-        if summary.skipped is not None:
-            lines.append(f"- `{name}`: skipped ({summary.skipped})")
-            continue
-        if outcome is not None:
-            detail = "; ".join(
-                f"{a.code} ({a.severity.label}): {a.explanation}"
-                for a in outcome.anomalies) or "clean"
-            delivered = len(outcome.delivered)
-            lines.append(f"- `{name}`: {detail} "
-                         f"[delivered={delivered}, outcome={result.trace.outcome}]")
+        detail = "; ".join(f"{a.code} ({a.severity.label}): {a.explanation}"
+                           for a in outcome.anomalies) or "clean"
+        lines.append(f"- `{name}`: {detail} "
+                     f"[delivered={len(outcome.delivered)}, outcome={result.trace.outcome}]")
     return "\n".join(lines) + "\n"
 
 
@@ -282,15 +268,9 @@ def _resolve_profile(source: str) -> BehaviorProfile:
     documented = profiles.documented_profiles()
     if source in documented:
         return documented[source]
-    endpoint = Endpoint.parse(source)
-    probe = probe_liveness(endpoint)
-    if not probe.alive:
-        raise RunnerError(f"target {endpoint.label} is not answering: "
-                          f"{probe.detail}")
-    scenario_set = [corpus_by_name()[name]
-                    for name in profiles.PROFILED_SCENARIOS]
-    results = run_corpus(scenario_set, endpoint)
-    return fingerprint(results, broker_label=source)
+    endpoint, by_name = _answering(source), corpus_by_name()
+    return fingerprint(run_corpus([by_name[name] for name in profiles.PROFILED_SCENARIOS],
+                                  endpoint), broker_label=source)
 
 
 def cmd_diff(args: argparse.Namespace) -> int:

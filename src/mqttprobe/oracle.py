@@ -30,15 +30,18 @@ received one, so classifications are robust to scheduling jitter.
 The rules are checked in one pass: a ``Judge`` takes each event in seq
 order, as the runner records it or as ``evaluate_trace`` reads it from a
 finished trace, keeps only the indexes the rules read, and builds the
-anomalies once, at the end.
+anomalies once, at the end.  ``runner.run_corpus`` feeds one judge per
+run and carries its verdict on the result, and ``fingerprint`` summarizes
+those verdicts: ``mqttprobe run`` and a live ``mqttprobe diff`` source
+both go through these two.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 
 from .codec import (
     Disconnect,
@@ -56,7 +59,6 @@ from .trace import (
     K_RECEIVED,
     K_SENT,
     OUTCOME_COMPLETED,
-    OUTCOME_RUNNER_ERROR,
     CorpusResult,
     Trace,
     TraceEvent,
@@ -403,52 +405,28 @@ def summarize_outcome(outcome: ScenarioOutcome) -> ScenarioSummary:
         aborted=outcome.aborted)
 
 
-def evaluate_result(result: CorpusResult) -> ScenarioOutcome | None:
-    """Classify one corpus result; None when it has no trace to judge."""
-    if result.skipped is not None or result.trace is None \
-            or result.trace.outcome == OUTCOME_RUNNER_ERROR:
-        return None
-    return evaluate_trace(result.experiment, result.trace, result.judge)
-
-
-def fingerprint(results: list[CorpusResult], broker_label: str,
+def fingerprint(results: Iterable[CorpusResult], broker_label: str,
                 version: str = "") -> BehaviorProfile:
-    """Canonical per-scenario summary of one corpus run."""
-    return fingerprint_outcomes(results, [evaluate_result(r) for r in results],
-                                broker_label, version)
-
-
-def fingerprint_outcomes(results: list[CorpusResult],
-                         outcomes: list[ScenarioOutcome | None],
-                         broker_label: str, version: str = "") -> BehaviorProfile:
-    """Summarize a corpus run whose results ``evaluate_result`` already classified.
+    """Canonical per-scenario summary of one corpus run, from each result's ``outcome``.
 
     A dead liveness probe after a scenario rewrites that scenario's
     unexpected-disconnect (if any) into broker-crash: the close was the
     process dying, not a policy decision.
     """
     summaries: dict[str, ScenarioSummary] = {}
-    for result, outcome in zip(results, outcomes):
+    for result in results:
         name = result.experiment.name
         if result.skipped is not None or result.trace is None:
-            summaries[name] = ScenarioSummary(delivered=(), anomalies=(),
-                                              skipped=result.skipped or "no trace")
+            summaries[name] = ScenarioSummary((), (), skipped=result.skipped or "no trace")
             continue
-        if outcome is None:
-            codes: tuple[str, ...] = ()
-            if not result.liveness.alive:
-                codes = (BROKER_CRASH,)
-            summaries[name] = ScenarioSummary(
-                delivered=(), anomalies=codes, aborted=True,
-                skipped=f"runner error: {result.trace.outcome_detail}")
-            continue
-        summary = summarize_outcome(outcome)
+        if result.outcome is None:
+            summary = ScenarioSummary((), (), aborted=True,
+                                      skipped=f"runner error: {result.trace.outcome_detail}")
+        else:
+            summary = summarize_outcome(result.outcome)
         if not result.liveness.alive:
-            codes = tuple(sorted(
-                {c for c in summary.anomalies if c != UNEXPECTED_DISCONNECT}
-                | {BROKER_CRASH}))
-            summary = ScenarioSummary(delivered=summary.delivered,
-                                      anomalies=codes, aborted=summary.aborted)
+            summary = replace(summary, anomalies=tuple(sorted(
+                {c for c in summary.anomalies if c != UNEXPECTED_DISCONNECT} | {BROKER_CRASH})))
         summaries[name] = summary
     return BehaviorProfile(broker_label=broker_label, version=version,
                            outcomes=summaries)
@@ -508,32 +486,8 @@ def summary_to_obj(summary: ScenarioSummary) -> dict:
             "skipped": summary.skipped}
 
 
-def summary_from_obj(obj: dict) -> ScenarioSummary:
-    return ScenarioSummary(
-        delivered=tuple((t, p) for t, p in obj.get("delivered", [])),
-        anomalies=tuple(obj.get("anomalies", [])),
-        aborted=obj.get("aborted", False),
-        skipped=obj.get("skipped"))
-
-
 def profile_to_obj(profile: BehaviorProfile) -> dict:
     return {"broker_label": profile.broker_label,
             "version": profile.version,
             "outcomes": {name: summary_to_obj(summary)
                          for name, summary in sorted(profile.outcomes.items())}}
-
-
-def profile_from_obj(obj: dict) -> BehaviorProfile:
-    return BehaviorProfile(
-        broker_label=obj["broker_label"],
-        version=obj.get("version", ""),
-        outcomes={name: summary_from_obj(summary)
-                  for name, summary in obj.get("outcomes", {}).items()})
-
-
-def profile_to_json(profile: BehaviorProfile) -> str:
-    return json.dumps(profile_to_obj(profile), indent=2) + "\n"
-
-
-def profile_from_json(text: str) -> BehaviorProfile:
-    return profile_from_obj(json.loads(text))

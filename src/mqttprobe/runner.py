@@ -38,8 +38,8 @@ a PUBREC: releasing a qos 2 publish is always a scripted decision.
 
 The runner keeps no trace.  It hands each event, as it is recorded, to
 its consumers and then drops it: the caller's ``consumer`` (the oracle's
-judge, or a collector for callers that want ``Trace.events``) at once,
-and the trace sink, if any, once written.  The sink gets the header
+judge, in ``run_corpus``) at once, and the trace sink, if any, once
+written.  The sink gets the header
 first; before each poll of a ``wait`` step or settle, the pending events,
 a chunk at a time while the chunk's writing ends SPILL_MARGIN_S before
 the poll is due; after the last poll, the rest and the outcome.  Settle
@@ -64,7 +64,7 @@ import uuid
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, TextIO
+from typing import TextIO
 
 from . import codec
 from .codec import (
@@ -100,15 +100,13 @@ from .experiment import (
     WaitStep,
     expand_steps,
 )
+from .oracle import Judge, evaluate_trace
 # trace_from_jsonl and trace_to_jsonl stay importable from here for bench/.
 from .trace import (K_CLOSED_BY_PEER, K_CONNECTED, K_RECEIVED, K_SENT,  # noqa: F401
                     K_TCP_ERROR, OUTCOME_ABORTED_BY_PEER, OUTCOME_COMPLETED,
                     OUTCOME_RUNNER_ERROR, CorpusResult, Liveness, Trace, TraceEvent,
                     event_line, header_line, outcome_line, trace_from_jsonl, trace_lines,
                     trace_to_jsonl)
-
-if TYPE_CHECKING:
-    from .oracle import Judge
 
 SETTLED_CLOSED = "closed"
 SETTLED_QUIET = "quiet"
@@ -705,33 +703,34 @@ def probe_liveness(endpoint: Endpoint) -> Liveness:
             pass
 
 
-def run_in_turn(experiments: Iterable[Experiment], endpoint: Endpoint,
-                trace_dir: str | None = None,
-                judge: Callable[[Experiment], Judge] | None = None) -> Iterator[CorpusResult]:
-    """Run experiments in order, probing liveness after each.
+def run_corpus(experiments: Iterable[Experiment], endpoint: Endpoint,
+               trace_dir: str | None = None) -> Iterator[CorpusResult]:
+    """Run and judge experiments in order, probing liveness after each.
 
-    Each result is yielded, and not held here, before the next experiment
-    starts.  After a dead probe the rest are skipped, not run into a corpse.
-    With a ``trace_dir``, each run writes its trace to ``<name>.jsonl`` there.
-    With a ``judge`` factory (``oracle.Judge``), each run feeds a new judge
-    that the result carries, in place of the events its trace then lacks.
+    Each run feeds a new ``oracle.Judge`` as it records, and its result is
+    yielded with the verdict (None after a runner error) and only the
+    experiment's name, before the next experiment starts.  After a dead
+    probe the rest are skipped, not run into a corpse.  With a
+    ``trace_dir``, each run writes its trace to ``<name>.jsonl`` there.
     """
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
     liveness = Liveness(True)
     for experiment in experiments:
         if not liveness.alive:
-            yield CorpusResult(experiment, None, liveness,
+            yield CorpusResult(Experiment(experiment.name), None, liveness,
                                skipped=f"broker dead: {liveness.detail}")
-        else:
-            fed = None if judge is None else judge(experiment)
-            trace = _trace_or_error(experiment, endpoint, trace_dir, fed)
-            yield CorpusResult(experiment, trace, liveness := probe_liveness(endpoint),
-                               judge=fed)
+            continue
+        judge = Judge(experiment)
+        trace = _trace_or_error(experiment, endpoint, trace_dir, judge)
+        liveness = probe_liveness(endpoint)
+        yield CorpusResult(Experiment(experiment.name), trace, liveness,
+                           outcome=None if trace.outcome == OUTCOME_RUNNER_ERROR
+                           else evaluate_trace(experiment, trace, judge))
 
 
 def _trace_or_error(experiment: Experiment, endpoint: Endpoint, trace_dir: str | None,
-                    consumer: Callable[[TraceEvent], object] | None) -> Trace:
+                    consumer: Callable[[TraceEvent], object]) -> Trace:
     with (contextlib.nullcontext() if trace_dir is None else
           open(os.path.join(trace_dir, f"{experiment.name}.jsonl"), "w", encoding="utf-8")) as sink:
         try:
@@ -745,9 +744,3 @@ def _trace_or_error(experiment: Experiment, endpoint: Endpoint, trace_dir: str |
                 sink.truncate()
                 sink.writelines(trace_lines(trace))
             return trace
-
-
-def run_corpus(experiments: list[Experiment], endpoint: Endpoint) -> list[CorpusResult]:
-    """Every result of ``run_in_turn``, in order."""
-    return list(run_in_turn(experiments, endpoint))
-

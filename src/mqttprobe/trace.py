@@ -1,9 +1,10 @@
 """Traces: what one experiment run witnessed, and their JSONL form.
 
 Events are named tuples, the cheapest immutable record for the runner's
-loop to create.  ``event_line`` writes the bytes of the reference
-``json.dumps(event_to_obj(event))`` through packet writers derived from
-the dataclass fields at import, for the runner and ``trace_lines`` both.
+loop to create.  ``event_line`` writes the bytes of ``json.dumps`` of an
+event's reference form (``event_to_obj`` in ``tests/reference_forms.py``)
+through packet writers derived from the dataclass fields at import, for
+the runner and ``trace_lines`` both.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .codec import Packet, Will
 from .experiment import Experiment
 
 if TYPE_CHECKING:
-    from .oracle import Judge
+    from .oracle import ScenarioOutcome
 
 K_SENT = "sent"
 K_RECEIVED = "received"
@@ -64,16 +65,17 @@ class Liveness:
 
 @dataclass(frozen=True)
 class CorpusResult:
-    """An experiment, its trace and the liveness probe that followed it.
+    """An experiment, its trace, the liveness probe that followed it and its verdict.
 
-    A ``judge`` that was fed the run's events as they were recorded takes
-    the place of the events the trace then does not hold.
+    ``runner.run_corpus`` keeps only the experiment's name, and a trace
+    without events: the ``outcome`` was judged from them as they were
+    recorded.  It is None for a skipped run or a runner error.
     """
     experiment: Experiment
     trace: Trace | None
     liveness: Liveness
     skipped: str | None = None
-    judge: Judge | None = None
+    outcome: ScenarioOutcome | None = None
 
 
 # --- JSON forms --------------------------------------------------------------
@@ -129,27 +131,11 @@ def _from_obj(cls: type, spec: tuple, obj: dict) -> object:
                   for name, _, from_json in spec if name in obj})
 
 
-def packet_to_obj(packet: Packet) -> dict:
-    """JSON-ready form of a packet; byte fields are lowercase hex."""
-    if type(packet) not in _PACKET_JSON:
-        raise ValueError(f"unserializable packet {packet!r}")
-    name, spec = _PACKET_JSON[type(packet)]
-    return _to_obj(packet, spec, {"type": name})
-
-
 def packet_from_obj(obj: dict) -> Packet:
     kind = obj["type"]
     if kind not in _PACKET_CLASSES:
         raise ValueError(f"unknown packet type {kind!r}")
     return _from_obj(*_PACKET_CLASSES[kind], obj)  # type: ignore[return-value]
-
-
-def event_to_obj(event: TraceEvent) -> dict:
-    return {"record": "event", "seq": event.seq, "t_ms": event.t_ms,
-            "session": event.session, "kind": event.kind,
-            "packet": None if event.packet is None else packet_to_obj(event.packet),
-            "raw": _hex(event.raw), "annotations": list(event.annotations),
-            "auto": event.auto, "note": event.note}
 
 
 def event_from_obj(obj: dict) -> TraceEvent:
@@ -201,7 +187,7 @@ def header_line(experiment: str, endpoint: str, started_at: float,
 
 
 def event_line(event: TraceEvent) -> str:
-    """One event record, byte for byte ``json.dumps(event_to_obj(event))`` and a newline."""
+    """One event record, byte for byte ``json.dumps`` of its reference form and a newline."""
     seq, t_ms, session, kind, packet, raw, annotations, auto, note = event
     raw_text = "null" if raw is None else f'"{raw.hex()}"'
     notes = ", ".join(map(_json_str, annotations))

@@ -31,6 +31,7 @@ from mqttprobe.corpus import (
     QOS20_TOPIC,
     QOS21_TOPIC,
 )
+from mqttprobe.oracle import evaluate_trace
 from mqttprobe.profiles import DOUBLE, LONG, ORPHAN, QOS20, QOS21
 from mqttprobe.runner import (
     CorpusResult,
@@ -266,13 +267,14 @@ _SCENARIO_BUILDERS = {
 
 
 def synthetic_results(broker_label):
-    """CorpusResult list for the five profiled scenarios of one broker."""
+    """CorpusResult list for the five profiled scenarios of one broker, each judged."""
     table = _SCENARIO_BUILDERS[broker_label]()
     results = []
     for name, (entries, outcome, alive) in table.items():
         trace = build_trace(name, entries, outcome=outcome)
         liveness = Liveness(alive, "synthetic" if alive else "no CONNACK before timeout")
-        results.append(CorpusResult(_BY_NAME[name], trace, liveness))
+        results.append(CorpusResult(_BY_NAME[name], trace, liveness,
+                                    outcome=evaluate_trace(_BY_NAME[name], trace)))
     return results
 
 

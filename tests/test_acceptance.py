@@ -46,6 +46,7 @@ from mqttprobe.runner import (
     probe_liveness,
     run_corpus,
     run_experiment,
+    trace_from_jsonl,
 )
 from mqttprobe.topics import match_filter
 from genpackets import random_valid_packet
@@ -167,11 +168,11 @@ def test_criterion_4_corpus_parses_renders_reparses(verdict):
     verdict(4, f"{len(entries)} corpus experiments round-trip")
 
 
-def test_criterion_5_self_contained_corpus_run(verdict):
+def test_criterion_5_self_contained_corpus_run(verdict, tmp_path):
     with refbroker.serve(host="127.0.0.1", port=0) as broker:
         endpoint = Endpoint(host="127.0.0.1", port=broker.port)
         started = time.monotonic()
-        results = run_corpus(list(corpus.builtin_corpus()), endpoint)
+        results = list(run_corpus(list(corpus.builtin_corpus()), endpoint, str(tmp_path)))
         elapsed = time.monotonic() - started
 
         assert len(results) == len(corpus.builtin_corpus())
@@ -179,14 +180,15 @@ def test_criterion_5_self_contained_corpus_run(verdict):
         for result in results:
             assert result.skipped is None, result.experiment.name
             assert result.liveness.alive, result.experiment.name
-            outcome = evaluate_trace(result.experiment, result.trace)
-            noisy = [a for a in outcome.anomalies
+            noisy = [a for a in result.outcome.anomalies
                      if a.severity >= Severity.WARNING]
             assert noisy == [], (result.experiment.name,
                                  [a.code for a in noisy])
             if result.experiment.name == "qos0_flood":
+                flood_trace = trace_from_jsonl(
+                    (tmp_path / "qos0_flood.jsonl").read_text(encoding="utf-8"))
                 flood_delivered = sum(
-                    1 for e in result.trace.events
+                    1 for e in flood_trace.events
                     if e.kind == K_RECEIVED and isinstance(e.packet, Publish)
                     and e.packet.topic == corpus.FLOOD_TOPIC)
         assert flood_delivered == corpus.FLOOD_COUNT
@@ -399,8 +401,7 @@ def test_criterion_9_real_broker_integration(verdict):
         verdict(9, f"no broker at {target} ({live.detail})", "SKIP")
         pytest.skip(f"no reachable broker at {target}: {live.detail}")
     scenario_set = [_BY_NAME[name] for name in PROFILED_SCENARIOS]
-    results = run_corpus(scenario_set, endpoint)
-    profile = fingerprint(results, broker_label=target)
+    profile = fingerprint(run_corpus(scenario_set, endpoint), broker_label=target)
     assert set(PROFILED_SCENARIOS) <= set(profile.outcomes)
     findings = {name: list(profile.outcomes[name].anomalies)
                 for name in PROFILED_SCENARIOS}

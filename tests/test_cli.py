@@ -29,8 +29,11 @@ from mqttprobe.codec import (
     decode_packet,
     encode_packet,
 )
+from mqttprobe.oracle import diff_profiles
+from mqttprobe.profiles import PROFILED_SCENARIOS, documented_profiles
 from mqttprobe.runner import K_RECEIVED, K_SENT, Liveness, Trace, TraceEvent
 from mqttprobe.trace import trace_lines
+import reference_forms
 
 
 def run_cli(*argv):
@@ -615,6 +618,26 @@ def test_diff_live_against_documented(broker, capsys):
     assert diverging == {"qos2_then_qos1_same_id", "qos2_then_qos0_same_id"}
 
 
+def test_live_diff_agrees_with_the_run_report(broker, capsys):
+    # diff fingerprints a live source by the path run takes, so its
+    # divergences are the ones run's own profile implies.
+    target = f"127.0.0.1:{broker.port}"
+    assert run_cli("run", "--target", target, "--corpus", "--format", "json") == 0
+    ran = reference_forms.profile_from_obj(json.loads(capsys.readouterr().out)["profile"])
+    ran = dataclasses.replace(ran, outcomes={name: ran.outcomes[name]
+                                             for name in PROFILED_SCENARIOS})
+    diverging = set()
+    for label, documented in documented_profiles().items():
+        implied = diff_profiles(ran, documented)
+        assert run_cli("diff", target, label, "--format", "json") == 0
+        rows = json.loads(capsys.readouterr().out)["divergences"]
+        assert [(row["scenario"], row["detail"]) for row in rows] == implied, label
+        diverging.update(name for name, _ in implied)
+    assert diverging == set(PROFILED_SCENARIOS)
+    assert run_cli("diff", target, target, "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["divergences"] == []
+
+
 # ---------------------------------------------------------------------------
 # serve subcommand (real process, real signal)
 
@@ -676,13 +699,14 @@ def test_serve_stops_cleanly_on_sigterm():
 _LOADED_BY = ("import sys; from mqttprobe.cli import main; code = main(sys.argv[1:]); "
               "print(*sorted(sys.modules)); raise SystemExit(code)")
 _FUZZER_MODULES = {"mqttprobe.fuzzer", "mqttprobe.oracle", "mqttprobe.runner", "mqttprobe.trace",
-                   "mqttprobe.corpus", "mqttprobe.profiles", "hashlib", "_hashlib"}
+                   "mqttprobe.corpus", "mqttprobe.profiles", "mqttprobe.experiment",
+                   "hashlib", "_hashlib"}
 
 
 def test_each_command_loads_only_what_it_runs():
     # The broker process holds none of the fuzzer: no runner, oracle,
-    # corpus or OpenSSL hashing.  Modules stay loaded, so listing them at
-    # exit covers the whole time the broker served.
+    # corpus, experiment parser or OpenSSL hashing.  Modules stay loaded,
+    # so listing them at exit covers the whole time the broker served.
     proc = subprocess.Popen([sys.executable, "-c", _LOADED_BY, "serve", "--port", "0"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:

@@ -7,6 +7,9 @@ and a SHA-256 over the length-prefixed frames.  The delivered list is
 pinned by count and digest too, since the long-topic scenarios deliver
 topics of up to 64 KiB.
 
+The verdicts are the ones ``run_corpus`` judged live; the traffic is
+read back from the trace files it wrote, since its results hold no events.
+
 Timestamps, the interleaving of sessions, and the interleaving of
 packet types within one session are not pinned.  The last varies from
 run to run with the same code: in ``qos2_then_qos1_same_id`` the
@@ -22,10 +25,11 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 from mqttprobe import corpus, refbroker
 from mqttprobe.oracle import fingerprint, profile_to_obj
-from mqttprobe.runner import K_RECEIVED, K_SENT, Endpoint, run_corpus
+from mqttprobe.runner import K_RECEIVED, K_SENT, Endpoint, run_corpus, trace_from_jsonl
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden", "corpus_refbroker.json")
@@ -45,11 +49,15 @@ def _outcome(summary):
     return summary
 
 
-def corpus_record(results):
+def corpus_record(results, trace_dir):
+    """The record of judged ``results`` whose traces ``run_corpus`` wrote to ``trace_dir``."""
     traffic = {}
     for result in results:
+        path = os.path.join(trace_dir, f"{result.experiment.name}.jsonl")
+        with open(path, encoding="utf-8") as handle:
+            events = trace_from_jsonl(handle.read()).events
         streams = {}
-        for event in result.trace.events:
+        for event in events:
             if event.kind not in (K_SENT, K_RECEIVED) or event.raw is None:
                 continue
             kind = "spliced" if event.packet is None else type(event.packet).__name__.lower()
@@ -68,9 +76,11 @@ def corpus_record(results):
 
 
 def run_record():
-    with refbroker.serve(host="127.0.0.1", port=0) as broker:
+    with refbroker.serve(host="127.0.0.1", port=0) as broker, \
+            tempfile.TemporaryDirectory() as trace_dir:
         endpoint = Endpoint(host="127.0.0.1", port=broker.port)
-        return corpus_record(run_corpus(corpus.builtin_corpus(), endpoint))
+        results = list(run_corpus(corpus.builtin_corpus(), endpoint, trace_dir))
+        return corpus_record(results, trace_dir)
 
 
 def test_corpus_verdicts_and_traffic_match_golden():

@@ -44,10 +44,10 @@ from mqttprobe.trace import (
     Trace,
     TraceEvent,
     packet_from_obj,
-    packet_to_obj,
     trace_lines,
 )
 from genpackets import random_valid_packet
+from reference_forms import packet_to_obj
 
 # (packet, wire hex, trace JSON line); Raw is emitted verbatim.
 PACKETS = [

@@ -22,8 +22,6 @@ from mqttprobe.oracle import (
     diff_profiles,
     evaluate_trace,
     fingerprint,
-    profile_from_json,
-    profile_to_json,
     scripted_input_conformant,
     summarize_outcome,
 )
@@ -37,6 +35,7 @@ from mqttprobe.profiles import (
     documented_profiles,
 )
 from mqttprobe.runner import run_experiment
+from reference_forms import profile_from_json, profile_to_json
 import synthetic
 
 _BY_NAME = corpus.corpus_by_name()

@@ -289,9 +289,9 @@ def test_run_corpus_skips_after_death():
               "steps": [{"action": "pingreq", "session": "f"}]}),
         _exp({"name": "three", "sessions": [{"id": "f"}], "steps": []}),
     ]
-    results = run_corpus(exps, ep)
+    results = list(run_corpus(exps, ep))
     assert results[0].trace.outcome == runner.OUTCOME_RUNNER_ERROR
-    assert results[0].skipped is None
+    assert results[0].skipped is None and results[0].outcome is None
     assert results[1].skipped and "dead" in results[1].skipped
     assert results[1].trace is None
     assert results[2].skipped

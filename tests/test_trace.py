@@ -5,14 +5,16 @@ import ast
 import json
 import os
 import random
+import subprocess
 import sys
 
 import pytest
 
 from mqttprobe import runner, trace
 from mqttprobe.codec import Raw
-from mqttprobe.trace import Trace, TraceEvent, event_to_obj, trace_lines
+from mqttprobe.trace import Trace, TraceEvent, trace_lines
 from genpackets import random_valid_packet
+from reference_forms import event_to_obj
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -78,6 +80,18 @@ def test_every_traced_bench_name_resolves_to_one_function():
     for name in traced_cli.TRACED:
         found = {getattr(m, name) for m in traced_cli.MODULES if hasattr(m, name)}
         assert len(found) == 1, f"{name} resolves to {len(found)} functions"
+
+
+def test_traced_cli_installs_its_spans_and_runs(tmp_path):
+    # install() exits when a traced name is gone or has two definitions,
+    # which would fail only the bench's traced runs.
+    spans_path = tmp_path / "spans.json"
+    done = subprocess.run([sys.executable, os.path.join(BENCH, "traced_cli.py"),
+                           str(spans_path), "corpus", "--hash"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))
+    assert "corpus_hash" in [span[0] for span in spans]
 
 
 def test_runner_names_the_bench_reads_exist():
