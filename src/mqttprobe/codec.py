@@ -1,6 +1,6 @@
 """MQTT 3.1.1 wire codec.
 
-Packets are plain frozen dataclasses holding raw byte strings, so
+Packets are frozen, slotted dataclasses holding raw byte strings, so
 deliberately nonconformant values (non-UTF-8 client ids, wildcard
 publish topics, packet id 0) stay representable.  ``encode_packet``
 refuses only what cannot be framed at all; ``decode_packet`` runs in
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 MAX_REMAINING_LENGTH = 268_435_455
@@ -154,7 +154,7 @@ def _is_utf8(data: bytes) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Will:
     topic: bytes
     payload: bytes
@@ -162,7 +162,7 @@ class Will:
     retain: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connect:
     client_id: bytes = b""
     clean_session: bool = True
@@ -174,13 +174,13 @@ class Connect:
     password: bytes | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connack:
     session_present: bool = False
     return_code: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Publish:
     topic: bytes
     payload: bytes = b""
@@ -190,27 +190,27 @@ class Publish:
     dup: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Puback:
     packet_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pubrec:
     packet_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pubrel:
     packet_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pubcomp:
     packet_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subscribe:
     packet_id: int
     # (topic filter, requested qos) pairs
@@ -220,7 +220,7 @@ class Subscribe:
         object.__setattr__(self, "entries", tuple((bytes(f), q) for f, q in self.entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Suback:
     packet_id: int
     return_codes: tuple[int, ...] = ()
@@ -229,7 +229,7 @@ class Suback:
         object.__setattr__(self, "return_codes", tuple(self.return_codes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unsubscribe:
     packet_id: int
     filters: tuple[bytes, ...] = ()
@@ -238,31 +238,31 @@ class Unsubscribe:
         object.__setattr__(self, "filters", tuple(bytes(f) for f in self.filters))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unsuback:
     packet_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pingreq:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pingresp:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disconnect:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Raw:
     """Pre-framed bytes, emitted verbatim; decode never produces one."""
 
-    data: bytes = field(default=b"")
+    data: bytes
 
 
 Packet = (

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import hashlib
 
+from .codec import Publish, Pubrel
 from .experiment import (
     ConnectStep,
     Experiment,
-    PublishStep,
-    PubrelStep,
     RepeatStep,
+    SendStep,
     SessionDecl,
     SpliceNextStep,
     SubscribeStep,
@@ -73,16 +73,16 @@ def _session(session_id: str = "f", **kwargs: object) -> tuple[SessionDecl, ...]
 
 
 def _qos_scenario(name: str, description: str, topic: bytes,
-                  second: PublishStep, extra: tuple = ()) -> Experiment:
+                  second: SendStep, extra: tuple = ()) -> Experiment:
     return Experiment(
         name=name,
         description=description,
         sessions=_session(),
         steps=(
             SubscribeStep("f", filter=topic, qos=2),
-            PublishStep("f", topic=topic, payload=PAYLOAD_FIRST_QOS2, qos=2, packet_id=1),
+            SendStep("f", Publish(topic, PAYLOAD_FIRST_QOS2, qos=2, packet_id=1)),
             second,
-            PubrelStep("f", packet_id=1),
+            SendStep("f", Pubrel(1)),
         ) + extra,
     )
 
@@ -94,20 +94,20 @@ def builtin_corpus() -> list[Experiment]:
             "qos2_then_qos1_same_id",
             "Publish qos 2 then qos 1 reusing packet id 1, then release the qos 2 flow.",
             QOS21_TOPIC,
-            PublishStep("f", topic=QOS21_TOPIC, payload=PAYLOAD_SECOND_QOS1, qos=1, packet_id=1),
+            SendStep("f", Publish(QOS21_TOPIC, PAYLOAD_SECOND_QOS1, qos=1, packet_id=1)),
         ),
         _qos_scenario(
             "qos2_then_qos0_same_id",
             "Publish qos 2 with packet id 1 then qos 0 on the same topic, then release.",
             QOS20_TOPIC,
-            PublishStep("f", topic=QOS20_TOPIC, payload=PAYLOAD_SECOND_QOS0, qos=0),
+            SendStep("f", Publish(QOS20_TOPIC, PAYLOAD_SECOND_QOS0, qos=0)),
         ),
         _qos_scenario(
             "double_qos2_same_id",
             "Two distinct qos 2 publishes sharing packet id 1, then two releases.",
             DOUBLE_TOPIC,
-            PublishStep("f", topic=DOUBLE_TOPIC, payload=PAYLOAD_SECOND_QOS2, qos=2, packet_id=1),
-            extra=(PubrelStep("f", packet_id=1),),
+            SendStep("f", Publish(DOUBLE_TOPIC, PAYLOAD_SECOND_QOS2, qos=2, packet_id=1)),
+            extra=(SendStep("f", Pubrel(1)),),
         ),
         Experiment(
             name="long_topic_5000",
@@ -115,7 +115,7 @@ def builtin_corpus() -> list[Experiment]:
             sessions=_session(),
             steps=(
                 SubscribeStep("f", filter=LONG_TOPIC_5000, qos=0),
-                PublishStep("f", topic=LONG_TOPIC_5000, payload=LONG_PAYLOAD, qos=0),
+                SendStep("f", Publish(LONG_TOPIC_5000, LONG_PAYLOAD, qos=0)),
             ),
         ),
         Experiment(
@@ -124,7 +124,7 @@ def builtin_corpus() -> list[Experiment]:
             sessions=_session(),
             steps=(
                 SubscribeStep("f", filter=LONG_TOPIC_65535, qos=0),
-                PublishStep("f", topic=LONG_TOPIC_65535, payload=LONG_PAYLOAD, qos=0),
+                SendStep("f", Publish(LONG_TOPIC_65535, LONG_PAYLOAD, qos=0)),
             ),
         ),
         Experiment(
@@ -162,7 +162,7 @@ def builtin_corpus() -> list[Experiment]:
             description="Publish to a topic containing a wildcard.",
             sessions=_session(),
             steps=(
-                PublishStep("f", topic=b"fuzz/inv/#", payload=b"wild", qos=0),
+                SendStep("f", Publish(b"fuzz/inv/#", b"wild", qos=0)),
                 WaitStep("f", ms=200),
             ),
         ),
@@ -184,7 +184,7 @@ def builtin_corpus() -> list[Experiment]:
             sessions=_session(),
             steps=(
                 SubscribeStep("f", filter=MANY_SLASHES_TOPIC, qos=0),
-                PublishStep("f", topic=MANY_SLASHES_TOPIC, payload=b"slashes", qos=0),
+                SendStep("f", Publish(MANY_SLASHES_TOPIC, b"slashes", qos=0)),
             ),
         ),
         Experiment(
@@ -196,7 +196,7 @@ def builtin_corpus() -> list[Experiment]:
             steps=(
                 SubscribeStep("f", filter=FLOOD_TOPIC, qos=0),
                 RepeatStep("f", count=FLOOD_COUNT, steps=(
-                    PublishStep("f", topic=FLOOD_TOPIC, payload=FLOOD_PAYLOAD, qos=0),
+                    SendStep("f", Publish(FLOOD_TOPIC, FLOOD_PAYLOAD, qos=0)),
                 )),
             ),
         ),
@@ -223,7 +223,7 @@ def builtin_corpus() -> list[Experiment]:
             description="Send PUBREL for a packet id that never had a qos 2 publish.",
             sessions=_session(),
             steps=(
-                PubrelStep("f", packet_id=ORPHAN_PUBREL_ID),
+                SendStep("f", Pubrel(ORPHAN_PUBREL_ID)),
                 WaitStep("f", ms=200),
             ),
         ),
@@ -239,7 +239,7 @@ def _encoded_payload(name: str, encoding: str, payload: bytes) -> Experiment:
         sessions=_session(),
         steps=(
             SubscribeStep("f", filter=topic, qos=0),
-            PublishStep("f", topic=topic, payload=payload, qos=0),
+            SendStep("f", Publish(topic, payload, qos=0)),
         ),
     )
 

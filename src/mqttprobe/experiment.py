@@ -1,11 +1,15 @@
 """Scripted experiment model and its JSON document format.
 
 An experiment declares sessions (each one broker connection) and an
-ordered step list.  Sessions connect lazily: the runner opens the
-socket and sends CONNECT right before the first step that needs the
-wire, so a document doesn't have to script the connect unless it wants
-to splice or reorder it.  Nothing is auto-assigned: packet ids appear
-on the wire exactly as scripted, because reusing them is the point.
+ordered step list.  A step that puts a packet on the wire exposes it
+as ``packet``: a ``SendStep`` holds the codec packet it sends, spelled
+in the document field for field, and a subscribe or unsubscribe step
+builds its one-filter packet.  Sessions connect lazily: the runner
+opens the socket and sends CONNECT right before the first step that
+needs the wire, so a document doesn't have to script the connect unless
+it wants to splice or reorder it.  Nothing is auto-assigned: packet ids
+appear on the wire exactly as scripted, because reusing them is the
+point.
 
 Parsing is total over arbitrary JSON text: any input either yields an
 Experiment or raises one of the typed errors below with a path to the
@@ -95,18 +99,16 @@ class ConnectStep:
 
 
 @dataclass(frozen=True, slots=True)
-class DisconnectStep:
-    session: str
-    action = "disconnect"
-
-
-@dataclass(frozen=True, slots=True)
 class SubscribeStep:
     session: str
     filter: bytes
     qos: int = 0
     packet_id: int = 1
     action = "subscribe"
+
+    @property
+    def packet(self) -> codec.Subscribe:
+        return codec.Subscribe(self.packet_id, ((self.filter, self.qos),))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,58 +118,31 @@ class UnsubscribeStep:
     packet_id: int = 1
     action = "unsubscribe"
 
-
-@dataclass(frozen=True, slots=True)
-class PublishStep:
-    session: str
-    topic: bytes
-    payload: bytes = b""
-    qos: int = 0
-    packet_id: int | None = None
-    retain: bool = False
-    dup: bool = False
-    action = "publish"
+    @property
+    def packet(self) -> codec.Unsubscribe:
+        return codec.Unsubscribe(self.packet_id, (self.filter,))
 
 
-@dataclass(frozen=True, slots=True)
-class PubackStep:
-    session: str
-    packet_id: int
-    action = "puback"
+# Action -> the codec packet class a send step of it holds; the
+# document spells the packet's own fields.
+_SEND_PACKETS = {
+    "publish": codec.Publish, "puback": codec.Puback, "pubrec": codec.Pubrec,
+    "pubrel": codec.Pubrel, "pubcomp": codec.Pubcomp, "pingreq": codec.Pingreq,
+    "send_raw": codec.Raw, "disconnect": codec.Disconnect,
+}
+_SEND_ACTION = {cls: action for action, cls in _SEND_PACKETS.items()}
 
 
 @dataclass(frozen=True, slots=True)
-class PubrecStep:
+class SendStep:
+    """Send ``packet``, a codec packet of one of the send actions' classes."""
+
     session: str
-    packet_id: int
-    action = "pubrec"
+    packet: codec.Packet
 
-
-@dataclass(frozen=True, slots=True)
-class PubrelStep:
-    session: str
-    packet_id: int
-    action = "pubrel"
-
-
-@dataclass(frozen=True, slots=True)
-class PubcompStep:
-    session: str
-    packet_id: int
-    action = "pubcomp"
-
-
-@dataclass(frozen=True, slots=True)
-class PingreqStep:
-    session: str
-    action = "pingreq"
-
-
-@dataclass(frozen=True, slots=True)
-class SendRawStep:
-    session: str
-    data: bytes
-    action = "send_raw"
+    @property
+    def action(self) -> str:
+        return _SEND_ACTION[type(self.packet)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,9 +176,8 @@ class RepeatStep:
 
 
 Step = (
-    ConnectStep | DisconnectStep | SubscribeStep | UnsubscribeStep | PublishStep
-    | PubackStep | PubrecStep | PubrelStep | PubcompStep | PingreqStep
-    | SendRawStep | SpliceNextStep | WaitStep | RepeatStep
+    ConnectStep | SubscribeStep | UnsubscribeStep | SendStep | SpliceNextStep
+    | WaitStep | RepeatStep
 )
 
 
@@ -284,6 +258,7 @@ def model_script(experiment: Experiment) -> ScriptModel:
     seen_qos2: dict[str, set[int]] = {}
     for step in expand_steps(experiment):
         cls = type(step)
+        packet = step.packet if cls is SendStep else None
         if cls is SubscribeStep:
             routed.clear()
             model.subscriber_sessions.add(step.session)
@@ -295,29 +270,29 @@ def model_script(experiment: Experiment) -> ScriptModel:
         elif cls is UnsubscribeStep:
             routed.clear()
             subscriptions = [f for f in subscriptions if f != step.filter]
-        elif cls is PublishStep:
-            identity = (step.topic, step.payload)
+        elif type(packet) is codec.Publish:
+            identity = (packet.topic, packet.payload)
             identity = identities.setdefault(identity, identity)
             opened = open_qos2.setdefault(step.session, set())
-            if step.qos == 2 and step.packet_id in opened:
+            if packet.qos == 2 and packet.packet_id in opened:
                 model.suppressed.append(identity)
                 continue
-            if step.qos == 2 and step.packet_id is not None:
-                opened.add(step.packet_id)
-                seen_qos2.setdefault(step.session, set()).add(step.packet_id)
-            matched = routed.get(step.topic)
+            if packet.qos == 2 and packet.packet_id is not None:
+                opened.add(packet.packet_id)
+                seen_qos2.setdefault(step.session, set()).add(packet.packet_id)
+            matched = routed.get(packet.topic)
             if matched is None:
-                matched = routed[step.topic] = any(
-                    topics.match_filter(f, step.topic) for f in subscriptions)
+                matched = routed[packet.topic] = any(
+                    topics.match_filter(f, packet.topic) for f in subscriptions)
             if matched:
                 model.expected.append(identity)
-                if step.qos == 0:
+                if packet.qos == 0:
                     model.qos0_identities.add(identity)
-        elif cls is PubrelStep:
+        elif type(packet) is codec.Pubrel:
             opened = open_qos2.setdefault(step.session, set())
-            opened.discard(step.packet_id)
-            if step.packet_id not in seen_qos2.get(step.session, set()):
-                model.orphan_pubrels.append((step.session, step.packet_id))
+            opened.discard(packet.packet_id)
+            if packet.packet_id not in seen_qos2.get(step.session, set()):
+                model.orphan_pubrels.append((step.session, packet.packet_id))
     return model
 
 
@@ -338,20 +313,21 @@ def scripted_input_conformant(experiment: Experiment) -> bool:
     valid_topics: set[bytes] = set()
     for step in expand_steps(experiment):
         cls = type(step)
-        if cls is SendRawStep or cls is SpliceNextStep:
+        if cls is SpliceNextStep:
             return False
         if cls is SubscribeStep or cls is UnsubscribeStep:
             if topics.validate_filter(step.filter):
                 return False
-        elif cls is PublishStep:
-            if step.topic not in valid_topics:
-                if topics.validate_topic(step.topic):
-                    return False
-                valid_topics.add(step.topic)
-            if step.packet_id == 0:
+        elif cls is SendStep:
+            packet = step.packet
+            if type(packet) is codec.Raw:
                 return False
-        elif cls in (PubackStep, PubrecStep, PubrelStep, PubcompStep) and step.packet_id == 0:
-            return False
+            if type(packet) is codec.Publish and packet.topic not in valid_topics:
+                if topics.validate_topic(packet.topic):
+                    return False
+                valid_topics.add(packet.topic)
+            if getattr(packet, "packet_id", None) == 0:
+                return False
     return True
 
 
@@ -495,7 +471,10 @@ def _field_spec(cls: type) -> tuple:
 
 
 _SESSION_FIELDS = _field_spec(SessionDecl)
-_STEP_FIELDS = {cls.action: (cls, _field_spec(cls)) for cls in get_args(Step)}
+# Action -> (the step class, or a send step's packet class; its field spec).
+_STEP_FIELDS = {action: (cls, _field_spec(cls)) for action, cls in (
+    *((cls.action, cls) for cls in get_args(Step) if cls is not SendStep),
+    *_SEND_PACKETS.items())}
 
 
 def _parse_session(raw: object, path: str, shared: _Shared) -> SessionDecl:
@@ -522,11 +501,12 @@ def _parse_step(raw: object, path: str, depth: int, shared: _Shared) -> Step:
         if not inner:
             raise SchemaError(obj.sub("steps"), "repeat with no steps")
         values.append(inner)
-    step = cls(session, *values)
-    if cls is PublishStep:
-        if step.qos > 0 and step.packet_id is None:
-            raise SchemaError(path, f"publish with qos {step.qos} requires an explicit packet_id")
-        if step.qos == 0 and step.packet_id is not None:
+    step = SendStep(session, cls(*values)) if cls in _SEND_ACTION else cls(session, *values)
+    if cls is codec.Publish:
+        qos, packet_id = step.packet.qos, step.packet.packet_id
+        if qos > 0 and packet_id is None:
+            raise SchemaError(path, f"publish with qos {qos} requires an explicit packet_id")
+        if qos == 0 and packet_id is not None:
             raise SchemaError(obj.sub("packet_id"), "not representable on a qos 0 publish; "
                                                     "use splice_next to force one")
     obj.finish()
@@ -604,7 +584,7 @@ def _check_session_refs(experiment: Experiment) -> None:
 # --- rendering -------------------------------------------------------------
 
 def _render_fields(obj: object, out: dict[str, object]) -> dict[str, object]:
-    """A step's or session's fields in order; bytes as ``_hex``, None left out."""
+    """A step's, packet's or session's fields in order; bytes as ``_hex``, None left out."""
     for f in fields(obj):  # type: ignore[arg-type]
         value = getattr(obj, f.name)
         if f.name == "steps":
@@ -617,7 +597,8 @@ def _render_fields(obj: object, out: dict[str, object]) -> dict[str, object]:
 
 
 def _render_step(step: Step) -> dict[str, object]:
-    return _render_fields(step, {"session": step.session, "action": step.action})
+    out = {"session": step.session, "action": step.action}
+    return _render_fields(step.packet if type(step) is SendStep else step, out)
 
 
 def render_experiment(experiment: Experiment) -> str:

@@ -30,7 +30,8 @@ connection leaves the FIFO and rejoins it at the tail when released.
 So an outbound buffer holds at most HIGH_WATER plus one frame from each
 connection sending to it.  A connection whose pending output makes no
 progress for SEND_DEADLINE_S is closed as a slow consumer, so a client
-that never reads cannot hold up anyone else for longer than that.
+that never reads cannot hold up anyone else for longer than that; so
+is a subscriber whose 65,535 outbound packet ids are all unacknowledged.
 
 Scope: clean sessions only, no retained messages, no will delivery, no
 keep-alive eviction, no auth.  A protocol violation on a connection
@@ -118,27 +119,22 @@ class ProtocolViolation(Exception):
 
 
 @dataclass
-class _OutboundFlow:
-    message: Publish
-    awaiting: str  # "puback" | "pubrec" | "pubcomp"
-
-
-@dataclass
 class _Session:
     key: object
     client_id: bytes
-    subscriptions: list[tuple[bytes, int]] = field(default_factory=list)
+    subscriptions: dict[bytes, int] = field(default_factory=dict)  # filter -> granted qos
     inbound_qos2: set[int] = field(default_factory=set)
-    outbound: dict[int, _OutboundFlow] = field(default_factory=dict)
+    outbound: dict[int, type] = field(default_factory=dict)  # packet id -> ack awaited
     next_packet_id: int = 1
 
-    def allocate_packet_id(self) -> int:
+    def allocate_packet_id(self) -> int | None:
+        """A free outbound packet id; None once all 65,535 are in flight."""
         for _ in range(0xFFFF):
             packet_id = self.next_packet_id
             self.next_packet_id = packet_id % 0xFFFF + 1
             if packet_id not in self.outbound:
                 return packet_id
-        raise ProtocolViolation("no free outbound packet id")
+        return None
 
 
 @dataclass
@@ -148,6 +144,8 @@ class HandleResult:
     sends: list[tuple[object, Packet]] = field(default_factory=list)
     close: bool = False
     evicted: object | None = None
+    # Subscribers detached with every outbound packet id in flight.
+    stalled: tuple[object, ...] = ()
 
 
 class Router:
@@ -207,28 +205,19 @@ class Router:
             # the response whether or not the id is known.
             session.inbound_qos2.discard(packet.packet_id)
             return HandleResult(sends=[(key, Pubcomp(packet.packet_id))])
-        if isinstance(packet, Puback):
-            flow = session.outbound.get(packet.packet_id)
-            if flow is not None and flow.awaiting == "puback":
-                del session.outbound[packet.packet_id]
-            return HandleResult()
-        if isinstance(packet, Pubrec):
-            flow = session.outbound.get(packet.packet_id)
-            if flow is not None and flow.awaiting == "pubrec":
-                flow.awaiting = "pubcomp"
-                return HandleResult(sends=[(key, Pubrel(packet.packet_id))])
-            return HandleResult()
-        if isinstance(packet, Pubcomp):
-            flow = session.outbound.get(packet.packet_id)
-            if flow is not None and flow.awaiting == "pubcomp":
+        if isinstance(packet, (Puback, Pubrec, Pubcomp)):
+            # Only the ack a delivery awaits moves it on; others are ignored.
+            if session.outbound.get(packet.packet_id) is type(packet):
+                if type(packet) is Pubrec:
+                    session.outbound[packet.packet_id] = Pubcomp
+                    return HandleResult(sends=[(key, Pubrel(packet.packet_id))])
                 del session.outbound[packet.packet_id]
             return HandleResult()
         if isinstance(packet, Subscribe):
             return self._subscribe(session, packet)
         if isinstance(packet, Unsubscribe):
             for topic_filter in packet.filters:
-                session.subscriptions = [s for s in session.subscriptions
-                                         if s[0] != topic_filter]
+                session.subscriptions.pop(topic_filter, None)
             return HandleResult(sends=[(key, Unsuback(packet.packet_id))])
         if isinstance(packet, Pingreq):
             return HandleResult(sends=[(key, Pingresp())])
@@ -246,10 +235,10 @@ class Router:
                     f"invalid subscription filter: {', '.join(violations)}")
         granted = []
         for topic_filter, qos in packet.entries:
-            # Re-subscribing to a filter replaces its granted qos.
-            session.subscriptions = [s for s in session.subscriptions
-                                     if s[0] != topic_filter]
-            session.subscriptions.append((topic_filter, qos))
+            # Re-subscribing to a filter replaces its granted qos and
+            # moves it last.
+            session.subscriptions.pop(topic_filter, None)
+            session.subscriptions[topic_filter] = qos
             granted.append(qos)
         return HandleResult(sends=[(session.key,
                                     Suback(packet.packet_id, tuple(granted)))])
@@ -267,19 +256,19 @@ class Router:
                 result.sends.append((session.key, Pubrec(packet.packet_id)))
                 return result
             session.inbound_qos2.add(packet.packet_id)
-            result.sends.extend(self._route(packet))
+            self._route(packet, result)
             result.sends.append((session.key, Pubrec(packet.packet_id)))
         elif packet.qos == 1:
-            result.sends.extend(self._route(packet))
+            self._route(packet, result)
             result.sends.append((session.key, Puback(packet.packet_id)))
         else:
-            result.sends.extend(self._route(packet))
+            self._route(packet, result)
         return result
 
-    def _route(self, packet: Publish) -> list[tuple[object, Packet]]:
-        sends: list[tuple[object, Packet]] = []
+    def _route(self, packet: Publish, result: HandleResult) -> None:
+        """Add ``packet``'s deliveries to ``result``; a subscriber out of ids is stalled."""
         for session in self._sessions.values():
-            for topic_filter, granted_qos in session.subscriptions:
+            for topic_filter, granted_qos in session.subscriptions.items():
                 if not topics.match_filter(topic_filter, packet.topic):
                     continue
                 out_qos = min(packet.qos, granted_qos)
@@ -288,13 +277,15 @@ class Router:
                                   retain=False)
                 else:
                     packet_id = session.allocate_packet_id()
+                    if packet_id is None:
+                        result.stalled += (session.key,)
+                        break
                     out = Publish(topic=packet.topic, payload=packet.payload,
                                   qos=out_qos, packet_id=packet_id, retain=False)
-                    session.outbound[packet_id] = _OutboundFlow(
-                        message=out,
-                        awaiting="puback" if out_qos == 1 else "pubrec")
-                sends.append((session.key, out))
-        return sends
+                    session.outbound[packet_id] = Puback if out_qos == 1 else Pubrec
+                result.sends.append((session.key, out))
+        for key in result.stalled:
+            self.detach(key)
 
 
 class _Conn:
@@ -626,6 +617,8 @@ class RefBroker:
             return
         if isinstance(result.evicted, _Conn):
             self._close(result.evicted, "evicted")
+        for stalled in result.stalled:
+            self._close(stalled, "slow-consumer", "no free outbound packet id")
         if result.close:
             self._close(conn, "disconnect" if isinstance(packet, Disconnect) else "refused")
 

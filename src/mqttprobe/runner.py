@@ -1,9 +1,9 @@
 """Experiment execution against a live broker endpoint.
 
 One selector loop on the calling thread runs the steps and drains every
-session socket.  A step's frame is recorded as a Sent event and appended
-to its session's outbound buffer, which must empty before the next step
-starts.  The loop reads every socket whenever the runner waits (a send
+session socket.  A step's ``packet``, the codec packet it carries, is
+encoded, recorded as a Sent event and appended to its session's
+outbound buffer, which must empty before the next step starts.  The loop reads every socket whenever the runner waits (a send
 the socket cannot take yet, a ``wait`` step, settle) and at least every
 READ_INTERVAL_S between steps, so a broker that stops reading one
 session until it can write to another cannot wedge the run.  A send
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import operator
 import os
 import selectors
 import socket
@@ -63,43 +62,13 @@ import time
 import uuid
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TextIO
 
 from . import codec
-from .codec import (
-    Connack,
-    Connect,
-    Disconnect,
-    Packet,
-    Pingreq,
-    Puback,
-    Pubcomp,
-    Publish,
-    Pubrec,
-    Pubrel,
-    Raw,
-    Subscribe,
-    Unsubscribe,
-)
-from .experiment import (
-    ConnectStep,
-    DisconnectStep,
-    Experiment,
-    PingreqStep,
-    PubackStep,
-    PubcompStep,
-    PublishStep,
-    PubrecStep,
-    PubrelStep,
-    SendRawStep,
-    SpliceNextStep,
-    Step,
-    SubscribeStep,
-    UnsubscribeStep,
-    WaitStep,
-    expand_steps,
-)
+from .codec import (Connack, Connect, Disconnect, Packet, Pingreq, Puback, Pubcomp, Publish,
+                    Pubrec, Pubrel, Raw, Subscribe, Unsubscribe)
+from .experiment import ConnectStep, Experiment, SendStep, SpliceNextStep, WaitStep, expand_steps
 from .oracle import Judge, evaluate_trace
 # trace_from_jsonl and trace_to_jsonl stay importable from here for bench/.
 from .trace import (K_CLOSED_BY_PEER, K_CONNECTED, K_RECEIVED, K_SENT,  # noqa: F401
@@ -554,34 +523,6 @@ class _Session:
             pass
 
 
-def _shared_fields(step_cls: type, packet_cls: type):
-    """Getter of the packet's fields the step holds under the same names."""
-    names = [f.name for f in fields(packet_cls) if f.name in step_cls.__dataclass_fields__]
-    if len(names) == 1:
-        return lambda step: (getattr(step, names[0]),)
-    return operator.attrgetter(*names) if names else (lambda step: ())
-
-
-# Step class -> (packet class, getter of its constructor arguments).
-_STEP_PACKETS = {
-    step_cls: (packet_cls, _shared_fields(step_cls, packet_cls))
-    for step_cls, packet_cls in (
-        (PublishStep, Publish), (PubackStep, Puback), (PubrecStep, Pubrec),
-        (PubrelStep, Pubrel), (PubcompStep, Pubcomp), (PingreqStep, Pingreq),
-        (SendRawStep, Raw), (DisconnectStep, Disconnect))
-}
-# A subscribe or unsubscribe step names one filter.
-_STEP_PACKETS[SubscribeStep] = (Subscribe, lambda s: (s.packet_id, ((s.filter, s.qos),)))
-_STEP_PACKETS[UnsubscribeStep] = (Unsubscribe, lambda s: (s.packet_id, (s.filter,)))
-
-
-def _step_packet(step: Step) -> Packet:
-    made = _STEP_PACKETS.get(type(step))
-    if made is None:
-        raise RunnerError(f"step {step!r} does not emit a packet")
-    return made[0](*made[1](step))
-
-
 def check_reachable(endpoint: Endpoint) -> None:
     """Open and close a TCP connection to prove the endpoint accepts at all.
 
@@ -629,9 +570,9 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint, sink: TextIO | No
                 session.pending_splice = step
             elif cls is ConnectStep:
                 session.connect(auto=False)
-            elif cls is DisconnectStep:
+            elif cls is SendStep and type(step.packet) is Disconnect:
                 if session.sock is not None:
-                    session.send_packet(Disconnect(), auto=False)
+                    session.send_packet(step.packet, auto=False)
                     session.wait_sent()
                     session.local_close()
                 else:
@@ -640,7 +581,7 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint, sink: TextIO | No
             else:
                 if session.sock is None:
                     session.connect(auto=True)
-                session.send_packet(_step_packet(step), auto=False)
+                session.send_packet(step.packet, auto=False)
             session.wait_sent()
             if time.monotonic() - run.polled_at >= READ_INTERVAL_S:
                 run.poll(0.0)
@@ -669,7 +610,10 @@ def probe_liveness(endpoint: Endpoint) -> Liveness:
         return Liveness(False, f"connect failed: {exc}")
     try:
         sock.settimeout(endpoint.io_timeout_ms / 1000)
-        sock.sendall(codec.encode_packet(Connect(client_id=client_id)))
+        try:
+            sock.sendall(codec.encode_packet(Connect(client_id=client_id)))
+        except OSError as exc:
+            return Liveness(False, f"send failed: {exc}")
         buffer = b""
         deadline = time.monotonic() + endpoint.io_timeout_ms / 1000
         while time.monotonic() < deadline:

@@ -3,21 +3,22 @@
 import dataclasses
 import json
 import tracemalloc
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqttprobe import corpus
+from mqttprobe import codec, corpus
 from mqttprobe import experiment as exp_mod
+from mqttprobe.codec import Publish, Pubrel
 from mqttprobe.experiment import (
     ConnectStep,
     DuplicateSessionError,
     Experiment,
     ExperimentError,
-    PublishStep,
-    PubrelStep,
     SchemaError,
+    SendStep,
     SessionDecl,
     SubscribeStep,
     UnknownSessionRefError,
@@ -53,9 +54,10 @@ def test_parse_qos_scenario_shape():
     ])
     parsed = parse_experiment(doc)
     assert [type(s) for s in parsed.steps] == [
-        SubscribeStep, PublishStep, PublishStep, PubrelStep]
-    assert parsed.steps[1].payload == b"one"
-    assert parsed.steps[2].qos == 1
+        SubscribeStep, SendStep, SendStep, SendStep]
+    assert [type(s.packet) for s in parsed.steps[1:]] == [Publish, Publish, Pubrel]
+    assert parsed.steps[1].packet.payload == b"one"
+    assert parsed.steps[2].packet.qos == 1
 
 
 def test_session_defaults():
@@ -199,7 +201,7 @@ def _repeated_document(payloads: int, repeats: int) -> str:
 def test_repeated_topics_and_payloads_are_parsed_once():
     text = _repeated_document(200, 50)
     parsed = parse_experiment(text)
-    publishes = [s for s in parsed.steps if isinstance(s, PublishStep)]
+    publishes = [s.packet for s in parsed.steps if isinstance(s, SendStep)]
     assert len(publishes) == 10_000
     for first, again in zip(publishes, publishes[200:]):
         assert again.payload is first.payload and again.topic is first.topic
@@ -210,48 +212,61 @@ def test_repeated_topics_and_payloads_are_parsed_once():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        parse_experiment(text)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        kept = parse_experiment(text)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     # A tree of one string per occurrence, and bytes per step, peaked at 3.7x.
     assert peak <= 1.5 * len(text), (peak, len(text))
+    # What the document keeps: a 48-byte step and its 80-byte packet per
+    # publish, and each distinct payload once, 1.60 MiB (1.22 MiB when a
+    # publish step held the packet's fields itself).
+    assert len(kept.steps) == 10_001 and held <= 1.7 * 2**20, held
 
 
 def test_steps_and_sessions_have_no_instance_dict():
     parsed = parse_experiment(_doc(steps=[
         {"action": "repeat", "session": "f", "count": 2,
          "steps": [{"action": "publish", "session": "f", "topic": "a"}]}]))
-    for obj in (parsed.sessions[0], parsed.steps[0], parsed.steps[0].steps[0]):
+    send = parsed.steps[0].steps[0]
+    packets = (codec.Connect(will=codec.Will(b"w", b"")), codec.Connack(), codec.Publish(b"t"),
+               *(cls(1) for cls in (codec.Puback, codec.Pubrec, codec.Pubrel, codec.Pubcomp,
+                                    codec.Subscribe, codec.Suback, codec.Unsubscribe,
+                                    codec.Unsuback)),
+               codec.Pingreq(), codec.Pingresp(), codec.Disconnect(), codec.Raw(b""))
+    assert {type(p) for p in packets} == set(get_args(codec.Packet))
+    for obj in (parsed.sessions[0], parsed.steps[0], send, send.packet, *packets,
+                packets[0].will):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, dataclasses.fields(obj)[0].name, "g")
+        for field in dataclasses.fields(obj)[:1]:  # a PINGREQ has none
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, "g")
 
 
 def test_model_routes_each_topic_by_the_subscriptions_in_force():
     # A topic's match is remembered only until the subscriptions change.
     experiment = Experiment(name="t", sessions=(SessionDecl(id="f"),), steps=(
-        PublishStep("f", b"a/b", b"0"),
+        SendStep("f", Publish(b"a/b", b"0")),
         SubscribeStep("f", b"a/+"),
-        PublishStep("f", b"a/b", b"1"),
-        PublishStep("f", b"a/c", b"2"),
+        SendStep("f", Publish(b"a/b", b"1")),
+        SendStep("f", Publish(b"a/c", b"2")),
         SubscribeStep("f", b"a/#/bad"),  # refused: changes nothing
-        PublishStep("f", b"a/b", b"3"),
+        SendStep("f", Publish(b"a/b", b"3")),
         UnsubscribeStep("f", b"a/+"),
-        PublishStep("f", b"a/b", b"4"),
+        SendStep("f", Publish(b"a/b", b"4")),
         SubscribeStep("f", b"a/b"),
-        PublishStep("f", b"a/b", b"5"),
-        PublishStep("f", b"a/c", b"6"),
+        SendStep("f", Publish(b"a/b", b"5")),
+        SendStep("f", Publish(b"a/c", b"6")),
     ))
     assert model_script(experiment).expected == [
         (b"a/b", b"1"), (b"a/c", b"2"), (b"a/b", b"3"), (b"a/b", b"5")]
 
 
 def test_a_bad_topic_is_nonconformant_after_good_ones():
-    steps = tuple(PublishStep("f", b"a/b", bytes([i])) for i in range(3))
+    steps = tuple(SendStep("f", Publish(b"a/b", bytes([i]))) for i in range(3))
     experiment = Experiment(name="t", sessions=(SessionDecl(id="f"),), steps=steps)
     assert scripted_input_conformant(experiment)
-    bad = dataclasses.replace(experiment, steps=steps + (PublishStep("f", b"a/+", b"x"),))
+    bad = dataclasses.replace(experiment, steps=steps + (SendStep("f", Publish(b"a/+", b"x")),))
     assert not scripted_input_conformant(bad)
 
 
@@ -278,7 +293,8 @@ def test_corpus_names_unique_and_nonempty():
 
 def test_flood_expands_to_full_count():
     flood = corpus.corpus_by_name()["qos0_flood"]
-    publishes = [s for s in expand_steps(flood) if isinstance(s, PublishStep)]
+    publishes = [s for s in expand_steps(flood)
+                 if isinstance(s, SendStep) and isinstance(s.packet, Publish)]
     assert len(publishes) == corpus.FLOOD_COUNT
 
 

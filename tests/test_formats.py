@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from mqttprobe import corpus, runner
+from mqttprobe import corpus
 from mqttprobe.codec import (
     Connack,
     Connect,
@@ -385,7 +385,7 @@ def test_every_action_renders_as_pinned_and_parses_back():
 
 def test_every_wire_step_sends_its_pinned_packet():
     steps = expand_steps(parse_experiment(json.dumps(ALL_ACTIONS)))
-    sent = [repr(runner._step_packet(step)) for step in steps
+    sent = [repr(step.packet) for step in steps
             if step.action not in ("connect", "splice_next", "wait")]
     assert sent == ALL_ACTIONS_PACKETS
 

@@ -29,14 +29,10 @@ from mqttprobe.codec import (
     Suback,
     Subscribe,
     Unsuback,
-    Unsubscribe,
 )
 from mqttprobe.experiment import (
-    DisconnectStep,
     Experiment,
-    PingreqStep,
-    PublishStep,
-    PubrelStep,
+    SendStep,
     SessionDecl,
     SubscribeStep,
     UnsubscribeStep,
@@ -86,7 +82,7 @@ def test_repeated_deliveries_share_the_models_identities():
     # Every received copy is fresh bytes; the judge keeps the model's tuples.
     payloads = [bytes([i]) * 8 for i in range(4)]
     steps = [SubscribeStep("s", b"t/#", 1)]
-    steps += [PublishStep("p", b"t/a", payloads[i % 4], 1, i + 1) for i in range(12)]
+    steps += [SendStep("p", Publish(b"t/a", payloads[i % 4], 1, i + 1)) for i in range(12)]
     experiment = Experiment(name="repeats", steps=tuple(steps),
                             sessions=(SessionDecl(id="s"), SessionDecl(id="p")))
     events = [(K_SENT, "s", Subscribe(1, ((b"t/#", 1),))),
@@ -147,14 +143,14 @@ def _experiments(draw):
     session = st.sampled_from(sessions)
     subscribe = st.builds(SubscribeStep, session, st.sampled_from(_FILTERS),
                           st.integers(0, 2), _IDS)
-    publish = st.builds(lambda s, p: PublishStep(s, p.topic, p.payload, p.qos, p.packet_id),
+    publish = st.builds(lambda s, p: SendStep(s, Publish(p.topic, p.payload, p.qos, p.packet_id)),
                         session, _publish())
     other = st.one_of(
         subscribe, publish,
         st.builds(UnsubscribeStep, session, st.sampled_from(_FILTERS), _IDS),
-        st.builds(PubrelStep, session, _IDS),
-        st.builds(DisconnectStep, session),
-        st.builds(PingreqStep, session),
+        st.builds(lambda s, i: SendStep(s, Pubrel(i)), session, _IDS),
+        st.builds(SendStep, session, st.just(Disconnect())),
+        st.builds(SendStep, session, st.just(Pingreq())),
     )
     steps = (draw(st.lists(subscribe, max_size=3)) + draw(st.lists(publish, max_size=6))
              + draw(st.lists(other, max_size=4)))
@@ -180,22 +176,12 @@ _SENT = st.one_of(
 )
 
 
-_SCRIPTED = {
-    SubscribeStep: lambda s: Subscribe(s.packet_id, ((s.filter, s.qos),)),
-    UnsubscribeStep: lambda s: Unsubscribe(s.packet_id, (s.filter,)),
-    PublishStep: lambda s: Publish(s.topic, s.payload, s.qos, s.packet_id),
-    PubrelStep: lambda s: Pubrel(s.packet_id),
-    DisconnectStep: lambda s: Disconnect(),
-    PingreqStep: lambda s: Pingreq(),
-}
-
-
 @st.composite
 def _traces(draw, experiment):
     session = st.sampled_from([decl.id for decl in experiment.sessions])
     # Mostly copies of what the script publishes, and acks, so the rules have work.
-    published = [(step.topic, step.payload) for step in experiment.steps
-                 if isinstance(step, PublishStep)]
+    published = [(step.packet.topic, step.packet.payload) for step in experiment.steps
+                 if isinstance(step, SendStep) and isinstance(step.packet, Publish)]
     delivery = _publish(st.sampled_from(published)) if published else _publish()
     delivered = st.tuples(st.just(K_RECEIVED), session, delivery, st.just(False))
     acked = st.tuples(st.just(K_RECEIVED), session, _ACKS, st.just(False))
@@ -218,8 +204,7 @@ def _traces(draw, experiment):
     entries = [e for drawn in draw(st.lists(entry, max_size=30))
                for e in (drawn if isinstance(drawn, list) else [drawn])]
     # The script's own sends, in script order, among the rest.
-    scripted = [(K_SENT, step.session, _SCRIPTED[type(step)](step), False)
-                for step in experiment.steps if type(step) in _SCRIPTED]
+    scripted = [(K_SENT, step.session, step.packet, False) for step in experiment.steps]
     at = sorted(draw(st.lists(st.integers(0, len(entries)), min_size=len(scripted),
                               max_size=len(scripted))))
     for offset, (index, sent) in enumerate(zip(at, scripted)):

@@ -129,6 +129,42 @@ def test_unsubscribe_stops_delivery():
     assert _sent_to(gone, "sub") == []
 
 
+def test_a_subscriber_out_of_packet_ids_is_stalled_and_publishers_answered():
+    # A subscriber that never acks holds all 65,535 outbound ids after as
+    # many qos 1 deliveries.  The next delivery stalls it, not the publisher.
+    r = Router()
+    for key in ("sub", "pub", "pub2"):
+        _connected(r, key, key.encode())
+    r.handle("sub", Subscribe(packet_id=1, entries=((b"t", 1),)))
+    for i in range(0xFFFF):
+        res = r.handle("pub", Publish(topic=b"t", payload=b"m", qos=1, packet_id=i + 1))
+    assert _sent_to(res, "sub")[0].packet_id == 0xFFFF
+    res = r.handle("pub", Publish(topic=b"t", payload=b"m", qos=1, packet_id=1))
+    assert res.sends == [("pub", Puback(packet_id=1))]
+    assert res.stalled == ("sub",) and not res.close
+    # The stalled subscriber is detached: later publishers route to nobody.
+    later = r.handle("pub2", Publish(topic=b"t", payload=b"n", qos=1, packet_id=2))
+    assert later.sends == [("pub2", Puback(packet_id=2))] and later.stalled == ()
+
+
+def test_each_ack_moves_on_only_the_delivery_awaiting_it():
+    r = Router()
+    _connected(r, "sub", b"s")
+    _connected(r, "pub", b"p")
+    r.handle("sub", Subscribe(packet_id=1, entries=((b"a", 1), (b"b", 2))))
+    one = _sent_to(r.handle("pub", Publish(topic=b"a", qos=1, packet_id=1)), "sub")[0]
+    two = _sent_to(r.handle("pub", Publish(topic=b"b", qos=2, packet_id=2)), "sub")[0]
+    # The wrong ack for either delivery is ignored.
+    for ack in (Pubrec(one.packet_id), Pubcomp(one.packet_id), Puback(two.packet_id),
+                Pubcomp(two.packet_id)):
+        assert r.handle("sub", ack).sends == []
+    assert r.handle("sub", Pubrec(two.packet_id)).sends == [("sub", Pubrel(two.packet_id))]
+    assert r.handle("sub", Pubrec(two.packet_id)).sends == []  # now awaits PUBCOMP
+    for ack in (Puback(one.packet_id), Pubcomp(two.packet_id)):
+        assert r.handle("sub", ack).sends == []
+    assert not r._sessions["sub"].outbound  # both ids are free again
+
+
 def test_client_id_takeover_evicts_older_session():
     r = Router()
     _connected(r, "old", b"same")
@@ -425,6 +461,27 @@ def test_client_that_never_reads_is_closed_as_slow_consumer(broker, monkeypatch)
         stall.join(timeout=10)
     assert not stall.is_alive()
     assert _wait_for(lambda: broker.stats()["closes"]["slow-consumer"] == 1)
+
+
+def test_a_subscriber_that_never_acks_is_closed_and_its_publisher_kept(broker):
+    sub = MiniClient(broker.port)
+    sub.send(Connect(client_id=b"sub"))
+    assert isinstance(sub.recv_packet(), Connack)
+    sub.send(Subscribe(packet_id=1, entries=((b"t", 1),)))
+    assert isinstance(sub.recv_packet(), Suback)
+    pub = MiniClient(broker.port)
+    pub.send(Connect(client_id=b"pub"))
+    assert isinstance(pub.recv_packet(), Connack)
+    # One publish more than the subscriber has packet ids, then a ping.
+    pub.send_raw(b"".join(encode_packet(Publish(topic=b"t", qos=1, packet_id=i % 0xFFFF + 1))
+                          for i in range(0x10000)) + encode_packet(Pingreq()))
+    replies = [pub.recv_packet(timeout=30) for _ in range(0x10001)]
+    assert replies[-1] == Pingresp() and len(set(replies[:-1])) == 0xFFFF
+    sub.expect_close(timeout=10)
+    assert _wait_for(lambda: broker.stats()["closes"]["slow-consumer"] == 1)
+    assert broker.stats()["closes"]["violation"] == 0
+    pub.close()
+    sub.close()
 
 
 def test_paused_subscriber_gets_every_publish_after_backpressure(broker, monkeypatch):

@@ -6,6 +6,7 @@ import json
 import math
 import socket
 import statistics
+import struct
 import threading
 import time
 import weakref
@@ -278,6 +279,33 @@ def test_probe_liveness_against_live_and_dead(endpoint):
     dead = probe_liveness(Endpoint(host="127.0.0.1", port=_free_port(),
                                    connect_timeout_ms=500))
     assert not dead.alive
+
+
+def test_probe_liveness_reports_a_reset_before_its_connect(monkeypatch):
+    # The listener accepts and resets at once; the probe's CONNECT goes out after.
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def accept_and_reset():
+        conn, _ = listener.accept()
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        conn.close()
+
+    resetter = threading.Thread(target=accept_and_reset)
+    resetter.start()
+    create_connection = socket.create_connection
+
+    def connect_then_wait(*args, **kwargs):
+        sock = create_connection(*args, **kwargs)
+        resetter.join(5)
+        time.sleep(0.05)
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection", connect_then_wait)
+    try:
+        live = probe_liveness(Endpoint(host="127.0.0.1", port=listener.getsockname()[1]))
+    finally:
+        listener.close()
+    assert not live.alive and live.detail.startswith("send failed: "), live.detail
 
 
 def test_run_corpus_skips_after_death():
