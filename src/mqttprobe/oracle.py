@@ -192,7 +192,10 @@ class Judge:
         self.delivery_seqs: list[int] = []
         self.seen: set[tuple[str, int, Identity]] = set()  # the dup-collapse keys
         self.sent_seqs: dict[Identity, list[int]] = {}   # scripted publishes
-        self.ack_flow: list[tuple[str, int]] = []
+        # Per session, declared ones first, each in arrival order: the order
+        # across sessions is the scheduler's, and would differ run to run.
+        self.ack_flows: dict[str, list[tuple[str, int]]] = {
+            decl.id: [] for decl in experiment.sessions}
         self.first_pubrec: dict[tuple[str, int], int] = {}
         self.first_pubcomp: dict[tuple[str, int], int] = {}
         self.last_ack_seq: int | None = None              # of a PUBACK or PUBREC
@@ -245,7 +248,7 @@ class Judge:
 
     def _ack(self, seq: int, session: str, packet: Packet) -> None:
         cls, key = type(packet), (session, packet.packet_id)  # type: ignore[union-attr]
-        self.ack_flow.append((_ACK_NAMES[cls], packet.packet_id))  # type: ignore[union-attr]
+        self.ack_flows.setdefault(session, []).append((_ACK_NAMES[cls], key[1]))
         if cls is Puback or cls is Pubrec:
             self.last_ack_seq = seq
             if cls is Pubrec:
@@ -372,7 +375,7 @@ class Judge:
         return ScenarioOutcome(
             experiment_name=experiment.name,
             delivered=tuple(delivered),
-            ack_flow=tuple(self.ack_flow),
+            ack_flow=tuple(ack for flow in self.ack_flows.values() for ack in flow),
             anomalies=tuple(anomalies),
             aborted=aborted)
 

@@ -42,7 +42,9 @@ judge, in ``run_corpus``) at once, and the trace sink, if any, once
 written.  The sink gets the header
 first; before each poll of a ``wait`` step or settle, the pending events,
 a chunk at a time while the chunk's writing ends SPILL_MARGIN_S before
-the poll is due; after the last poll, the rest and the outcome.  Settle
+the poll is due; after any step that leaves SPILL_BOUND events pending,
+all of them, so a script without waits holds a bounded number; after the
+last poll, the rest and the outcome.  Settle
 counts expected deliveries as they arrive, and a run is aborted by the
 peer closes its sessions saw before their last step.
 
@@ -95,8 +97,14 @@ SETTLE_GAP_MS = 100
 # chunk is written only if SPILL_S_PER_BYTE of its frame bytes still
 # leaves SPILL_MARGIN_S, so a large frame waits for a longer wait, or for
 # the end of the run.  A publish event's line hex-encodes its frame and
-# its payload again: 2 ns a frame byte at 16 KiB, 8 ns at 1 MiB.
+# its payload again: 2 ns a frame byte at 16 KiB, 8 ns at 1 MiB.  A step
+# that leaves SPILL_BOUND events unwritten writes them all, with no
+# deadline, so a script without waits, or with waits too short for a
+# chunk, holds at most that many plus one step's.  1024 bench stream
+# events write in about 3 ms; a traced corpus run peaks no lower at 256
+# and about 1 MiB higher at 4096.
 SPILL_CHUNK = 64
+SPILL_BOUND = 1024
 SPILL_S_PER_BYTE = 1e-8
 SPILL_MARGIN_S = 0.002
 # poll(2) waits whole milliseconds, rounding up, and the kernel may wake
@@ -585,6 +593,8 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint, sink: TextIO | No
             session.wait_sent()
             if time.monotonic() - run.polled_at >= READ_INTERVAL_S:
                 run.poll(0.0)
+            if len(run.pending) - run.written >= SPILL_BOUND:
+                run.spill(math.inf)
             session.steps_done_seq = run.seq - 1
         settled_by = run.settle(experiment)
     finally:

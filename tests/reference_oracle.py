@@ -1,8 +1,9 @@
 """Reference oracle: the batch ``evaluate_trace`` the one-pass judge replaced.
 
-Kept verbatim so the differential tests can check that ``oracle.Judge``
-gives every trace the same ``ScenarioOutcome``, field for field,
-evidence tuples and explanations included.
+Kept verbatim, but for the ack flow's grouping by session, so the
+differential tests can check that ``oracle.Judge`` gives every trace the
+same ``ScenarioOutcome``, field for field, evidence tuples and
+explanations included.
 """
 
 from __future__ import annotations
@@ -80,11 +81,14 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     conformant = experiment.input_conformant
     anomalies: list[Anomaly] = []
 
-    ack_flow: list[tuple[str, int]] = []
+    # Grouped by session, declared ones first, each in arrival order.
+    flows: dict[str, list[tuple[str, int]]] = {decl.id: [] for decl in experiment.sessions}
     for event in received:
         packet = event.packet
         if isinstance(packet, (Puback, Pubrec, Pubrel, Pubcomp, Suback)):
-            ack_flow.append((type(packet).__name__.lower(), packet.packet_id))
+            flows.setdefault(event.session, []).append(
+                (type(packet).__name__.lower(), packet.packet_id))
+    ack_flow = [ack for flow in flows.values() for ack in flow]
 
     # R1: per-identity delivery counts against the conformant model.
     expected_counts = Counter(model.expected)

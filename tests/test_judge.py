@@ -1,7 +1,8 @@
 """The one-pass judge gives every trace the reference oracle's outcome.
 
 ``reference_oracle.evaluate_trace`` is the batch oracle the judge
-replaced, kept verbatim.  Outcomes are compared field for field:
+replaced, kept verbatim but for the ack flow, which both now group by
+session.  Outcomes are compared field for field:
 deliveries, ack flow, anomalies with their evidence tuples and
 explanations, and the aborted flag.
 """
@@ -116,6 +117,31 @@ def test_repeated_deliveries_share_the_models_identities():
     summary = summarize_outcome(outcome)
     assert summary.delivered[6] is summary.delivered[7] == (b"t/z".hex(), payloads[1].hex())
     assert summary.delivered[1] is summary.delivered[5]
+
+
+def test_ack_flow_lists_sessions_in_declaration_order():
+    # Two sessions reuse packet ids, and the broker interleaves their acks
+    # as it schedules them: every interleaving gives one outcome.
+    steps = tuple(SendStep(sid, Publish(b"t", sid.encode(), 1, i))
+                  for sid in "ba" for i in (1, 2))
+    experiment = Experiment(name="acks", steps=steps,
+                            sessions=(SessionDecl(id="b"), SessionDecl(id="a")))
+    acks = {"a": [Puback(1), Puback(2)], "b": [Puback(2), Puback(1)]}
+    outcomes = set()
+    for order in ("abab", "bbaa", "aabb", "baab"):
+        arrivals = {sid: iter(packets) for sid, packets in acks.items()}
+        events = [(K_SENT, step.session, step.packet) for step in steps]
+        events += [(K_RECEIVED, sid, next(arrivals[sid])) for sid in order]
+        trace = Trace(experiment_name="acks", endpoint="random:1883", started_at=0.0,
+                      outcome=OUTCOME_COMPLETED, events=tuple(
+                          TraceEvent(seq=seq, t_ms=float(seq), session=sid, kind=kind,
+                                     packet=packet, raw=b"")
+                          for seq, (kind, sid, packet) in enumerate(events)))
+        outcome = evaluate_trace(experiment, trace)
+        assert outcome == reference_oracle.evaluate_trace(experiment, trace), order
+        outcomes.add(outcome)
+    [outcome] = outcomes
+    assert outcome.ack_flow == (("puback", 2), ("puback", 1), ("puback", 1), ("puback", 2))
 
 
 # --- random event streams ----------------------------------------------------

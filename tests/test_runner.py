@@ -16,7 +16,8 @@ import pytest
 from mqttprobe import corpus, runner
 from mqttprobe.codec import (Connack, Connect, Disconnect, Publish, Raw, Subscribe,
                              encode_packet)
-from mqttprobe.experiment import parse_experiment
+from mqttprobe.experiment import (Experiment, SendStep, SessionDecl, SpliceNextStep,
+                                  parse_experiment)
 from mqttprobe.oracle import Judge
 from mqttprobe.runner import (
     Endpoint,
@@ -678,6 +679,55 @@ def test_trace_written_during_a_multi_wait_run_equals_the_trace(endpoint):
     assert sink.getvalue() == trace_to_jsonl(trace)
     # Each wait follows a new sent event, so each writes before it polls.
     assert sink.batches >= 4
+
+
+def _flood(publishes, *tail):
+    """QoS 0 publishes back to back, with no wait, then ``tail``."""
+    steps = [SendStep("p", Publish(b"flood/t", b"%d" % i)) for i in range(publishes)]
+    return Experiment(name="flood", sessions=(SessionDecl(id="p"),), settle_ms=300,
+                      steps=(*steps, *tail))
+
+
+def _backlogs(monkeypatch):
+    """The unwritten events at each spill, as ``runner._Run.spill`` starts."""
+    seen = []
+    spill = runner._Run.spill
+
+    def counted(run, deadline):
+        seen.append(len(run.pending) - run.written)
+        spill(run, deadline)
+
+    monkeypatch.setattr(runner._Run, "spill", counted)
+    return seen
+
+
+def test_a_run_without_waits_holds_a_bounded_backlog(endpoint, monkeypatch):
+    backlogs = _backlogs(monkeypatch)
+    sink = io.StringIO()
+    trace = run_experiment(_flood(3 * runner.SPILL_BOUND), endpoint, sink=sink)
+    assert trace.outcome == OUTCOME_COMPLETED
+    assert sink.getvalue() == trace_to_jsonl(trace)
+    # A step's events are its scripted frame and what the reads after it saw.
+    scripted = [e.seq for e in trace.events if e.kind == K_SENT and not e.auto]
+    step = max(b - a for a, b in zip([-1] + scripted, scripted + [len(trace.events) - 1]))
+    assert len(trace.events) > 3 * runner.SPILL_BOUND
+    assert sum(b >= runner.SPILL_BOUND for b in backlogs) >= 3
+    assert max(backlogs) < runner.SPILL_BOUND + step, (max(backlogs), step)
+
+
+def test_a_runner_error_after_a_spill_leaves_only_its_own_trace(endpoint, tmp_path,
+                                                                monkeypatch):
+    backlogs = _backlogs(monkeypatch)
+    # The splice reaches past the next frame, so its step raises a RunnerError.
+    exp = _flood(runner.SPILL_BOUND + 10, SpliceNextStep("p", offset=1000, remove=1),
+                 SendStep("p", Publish(b"flood/t", b"spliced")))
+    [result] = run_corpus([exp], endpoint, trace_dir=str(tmp_path))
+    assert result.trace.outcome == runner.OUTCOME_RUNNER_ERROR
+    assert "splice failed" in result.trace.outcome_detail
+    assert backlogs and backlogs[0] >= runner.SPILL_BOUND  # written before the error
+    text = (tmp_path / "flood.jsonl").read_text(encoding="utf-8")
+    assert text == trace_to_jsonl(result.trace)
+    assert trace_from_jsonl(text).events == ()
 
 
 def test_spill_leaves_a_short_wait_on_time(tmp_path):
