@@ -243,19 +243,22 @@ class Unsuback:
     packet_id: int
 
 
-@dataclass(frozen=True, slots=True)
+# The field-less packets declare their (empty) slots: ``slots=True``
+# rebuilds the class, and the frozen ``__setattr__`` then raises
+# TypeError, not FrozenInstanceError, for any name.
+@dataclass(frozen=True)
 class Pingreq:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Pingresp:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Disconnect:
-    pass
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,9 +16,8 @@ Experiment or raises one of the typed errors below with a path to the
 offending element.
 
 ``model_script`` replays a script through a conformant-broker model to
-say which deliveries it should cause, and ``scripted_input_conformant``
-says whether the script stays inside the protocol; the runner settles
-on them and the oracle judges by them.
+say which deliveries it should cause and whether the script stays inside
+the protocol; the runner settles on it and the oracle judges by it.
 """
 
 from __future__ import annotations
@@ -193,21 +192,11 @@ class Experiment:
         object.__setattr__(self, "sessions", tuple(self.sessions))
         object.__setattr__(self, "steps", tuple(self.steps))
 
-    def session(self, session_id: str) -> SessionDecl:
-        for decl in self.sessions:
-            if decl.id == session_id:
-                return decl
-        raise KeyError(session_id)
-
-    # The runner's settle and the oracle both need these; computed once
+    # The runner's settle and the oracle both need this; computed once
     # per instance (a frozen dataclass still has a __dict__ to cache in).
     @functools.cached_property
     def model(self) -> ScriptModel:
         return model_script(self)
-
-    @functools.cached_property
-    def input_conformant(self) -> bool:
-        return scripted_input_conformant(self)
 
 
 def expand_steps(experiment: Experiment) -> list[Step]:
@@ -241,28 +230,53 @@ class ScriptModel:
     orphan_pubrels: list[tuple[str, int]]
     subscriber_sessions: set[str]
     exact_filters: dict[str, list[tuple[bytes, int]]]  # session -> (filter, sub packet_id)
+    input_conformant: bool              # the script stays inside the protocol
 
 
 def model_script(experiment: Experiment) -> ScriptModel:
     """Replay the script through a conformant broker model.
 
+    The same replay decides ``input_conformant``, the rules a codec
+    annotation or the refbroker enforces on what a client sends: every
+    session speaks MQTT level 4 with a UTF-8 client id and no password
+    without a username; no step splices or sends raw bytes; every filter
+    and publish topic is valid; no packet carries id 0 and no QoS 0
+    publish sets DUP.  Deliberate packet-id reuse is NOT flagged: whether
+    that is legal is exactly the question the QoS scenarios pose, and
+    flagging it would reclassify their disconnect responses as conformant.
+
     Every occurrence of an identity in the model is one shared tuple.
     """
-    model = ScriptModel(expected=[], suppressed=[], qos0_identities=set(),
-                        orphan_pubrels=[], subscriber_sessions=set(),
-                        exact_filters={})
+    model = ScriptModel(
+        expected=[], suppressed=[], qos0_identities=set(), orphan_pubrels=[],
+        subscriber_sessions=set(), exact_filters={},
+        input_conformant=all(
+            decl.protocol_name == b"MQTT" and decl.protocol_level == 4
+            and codec._is_utf8(decl.client_id)
+            and (decl.password is None or decl.username is not None)
+            for decl in experiment.sessions))
     subscriptions: list[bytes] = []
     routed: dict[bytes, bool] = {}  # topic -> matches a subscription; reset when they change
+    checked_topics: set[bytes] = set()
     identities: dict[Identity, Identity] = {}
     open_qos2: dict[str, set[int]] = {}
     seen_qos2: dict[str, set[int]] = {}
     for step in expand_steps(experiment):
         cls = type(step)
-        packet = step.packet if cls is SendStep else None
+        if cls is SpliceNextStep:
+            model.input_conformant = False
+            continue
+        if cls is ConnectStep or cls is WaitStep:
+            continue
+        packet = step.packet
+        if type(packet) is codec.Raw or getattr(packet, "packet_id", None) == 0:
+            model.input_conformant = False
         if cls is SubscribeStep:
             routed.clear()
             model.subscriber_sessions.add(step.session)
-            if not topics.validate_filter(step.filter):
+            if topics.validate_filter(step.filter):
+                model.input_conformant = False
+            else:
                 subscriptions.append(step.filter)
                 if not any(c in step.filter for c in b"+#"):
                     model.exact_filters.setdefault(step.session, []).append(
@@ -270,7 +284,15 @@ def model_script(experiment: Experiment) -> ScriptModel:
         elif cls is UnsubscribeStep:
             routed.clear()
             subscriptions = [f for f in subscriptions if f != step.filter]
+            if topics.validate_filter(step.filter):
+                model.input_conformant = False
         elif type(packet) is codec.Publish:
+            if packet.topic not in checked_topics:
+                checked_topics.add(packet.topic)
+                if topics.validate_topic(packet.topic):
+                    model.input_conformant = False
+            if packet.dup and not packet.qos:
+                model.input_conformant = False
             identity = (packet.topic, packet.payload)
             identity = identities.setdefault(identity, identity)
             opened = open_qos2.setdefault(step.session, set())
@@ -294,41 +316,6 @@ def model_script(experiment: Experiment) -> ScriptModel:
             if packet.packet_id not in seen_qos2.get(step.session, set()):
                 model.orphan_pubrels.append((step.session, packet.packet_id))
     return model
-
-
-def scripted_input_conformant(experiment: Experiment) -> bool:
-    """Stateless scan: does the script stay inside the protocol?
-
-    Deliberate packet-id reuse is NOT flagged: whether that is legal is
-    exactly the question the QoS scenarios pose, and flagging it would
-    reclassify their disconnect responses as conformant.
-    """
-    for decl in experiment.sessions:
-        if decl.protocol_name != b"MQTT" or decl.protocol_level != 4:
-            return False
-        try:
-            decl.client_id.decode("utf-8")
-        except UnicodeDecodeError:
-            return False
-    valid_topics: set[bytes] = set()
-    for step in expand_steps(experiment):
-        cls = type(step)
-        if cls is SpliceNextStep:
-            return False
-        if cls is SubscribeStep or cls is UnsubscribeStep:
-            if topics.validate_filter(step.filter):
-                return False
-        elif cls is SendStep:
-            packet = step.packet
-            if type(packet) is codec.Raw:
-                return False
-            if type(packet) is codec.Publish and packet.topic not in valid_topics:
-                if topics.validate_topic(packet.topic):
-                    return False
-                valid_topics.add(packet.topic)
-            if getattr(packet, "packet_id", None) == 0:
-                return False
-    return True
 
 
 # --- parsing ---------------------------------------------------------------

@@ -53,7 +53,7 @@ from .codec import (
     Pubrel,
     Suback,
 )
-from .experiment import Experiment, Identity, scripted_input_conformant  # noqa: F401 (re-export)
+from .experiment import Experiment, Identity
 from .trace import (
     K_CLOSED_BY_PEER,
     K_RECEIVED,
@@ -360,7 +360,7 @@ class Judge:
                 f"with PUBCOMP"))
 
         # R6: unexpected close, or tolerated violation.
-        if experiment.input_conformant:
+        if model.input_conformant:
             if self.closes and not orphan_rejected:
                 anomalies.append(make_anomaly(
                     UNEXPECTED_DISCONNECT, tuple(seq for seq, _ in self.closes),

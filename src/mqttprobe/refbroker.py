@@ -36,7 +36,8 @@ is a subscriber whose 65,535 outbound packet ids are all unacknowledged.
 Scope: clean sessions only, no retained messages, no will delivery, no
 keep-alive eviction, no auth.  A protocol violation on a connection
 closes that connection and nothing else; no input may take the process
-down.
+down.  An invalid PUBLISH topic is a violation, and so is an invalid
+filter in a SUBSCRIBE or an UNSUBSCRIBE.
 
 The Router is transport-agnostic (sessions are keyed by opaque
 hashables and replies come back as values), which lets tests enumerate
@@ -52,6 +53,7 @@ import socket
 import threading
 import time
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import codec, topics
@@ -116,6 +118,14 @@ class ProtocolViolation(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
+
+
+def _check_filters(filters: Iterable[bytes]) -> None:
+    """Refuse a SUBSCRIBE or UNSUBSCRIBE naming an invalid filter (MQTT-4.7.1-2)."""
+    for topic_filter in filters:
+        violations = topics.validate_filter(topic_filter)
+        if violations:
+            raise ProtocolViolation(f"invalid topic filter: {', '.join(violations)}")
 
 
 @dataclass
@@ -216,6 +226,7 @@ class Router:
         if isinstance(packet, Subscribe):
             return self._subscribe(session, packet)
         if isinstance(packet, Unsubscribe):
+            _check_filters(packet.filters)
             for topic_filter in packet.filters:
                 session.subscriptions.pop(topic_filter, None)
             return HandleResult(sends=[(key, Unsuback(packet.packet_id))])
@@ -228,11 +239,7 @@ class Router:
     def _subscribe(self, session: _Session, packet: Subscribe) -> HandleResult:
         if not packet.entries:
             raise ProtocolViolation("SUBSCRIBE with no entries")
-        for topic_filter, _ in packet.entries:
-            violations = topics.validate_filter(topic_filter)
-            if violations:
-                raise ProtocolViolation(
-                    f"invalid subscription filter: {', '.join(violations)}")
+        _check_filters(topic_filter for topic_filter, _ in packet.entries)
         granted = []
         for topic_filter, qos in packet.entries:
             # Re-subscribing to a filter replaces its granted qos and

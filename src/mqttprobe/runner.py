@@ -280,7 +280,7 @@ class _Run:
 
     def settle(self, experiment: Experiment) -> str:
         """Listen for at most ``settle_ms`` after the last step; say what ended it."""
-        conformant = experiment.input_conformant
+        conformant = experiment.model.input_conformant
         subscribers = [self.sessions[sid] for sid in experiment.model.subscriber_sessions]
         start = time.monotonic()
         cap = start + experiment.settle_ms / 1000

@@ -78,7 +78,7 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     delivery_events = _deliveries(received, model.subscriber_sessions)
     delivered = [(e.packet.topic, e.packet.payload) for e in delivery_events]  # type: ignore[union-attr]
     closes = peer_closes(trace.events)
-    conformant = experiment.input_conformant
+    conformant = model.input_conformant
     anomalies: list[Anomaly] = []
 
     # Grouped by session, declared ones first, each in arrival order.

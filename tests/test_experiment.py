@@ -28,7 +28,6 @@ from mqttprobe.experiment import (
     model_script,
     parse_experiment,
     render_experiment,
-    scripted_input_conformant,
 )
 
 
@@ -238,9 +237,15 @@ def test_steps_and_sessions_have_no_instance_dict():
     for obj in (parsed.sessions[0], parsed.steps[0], send, send.packet, *packets,
                 packets[0].will):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
-        for field in dataclasses.fields(obj)[:1]:  # a PINGREQ has none
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, field.name, "g")
+        # A field-less class (PINGREQ) is frozen against any name.
+        name = dataclasses.fields(obj)[0].name if dataclasses.fields(obj) else "g"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, "g")
+        # A name that is no field is refused too; on a class with fields,
+        # CPython's slots rebuild raises TypeError there.
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(obj, "g", "g")
+        assert not hasattr(obj, "g"), type(obj).__name__
 
 
 def test_model_routes_each_topic_by_the_subscriptions_in_force():
@@ -265,9 +270,9 @@ def test_model_routes_each_topic_by_the_subscriptions_in_force():
 def test_a_bad_topic_is_nonconformant_after_good_ones():
     steps = tuple(SendStep("f", Publish(b"a/b", bytes([i]))) for i in range(3))
     experiment = Experiment(name="t", sessions=(SessionDecl(id="f"),), steps=steps)
-    assert scripted_input_conformant(experiment)
+    assert model_script(experiment).input_conformant
     bad = dataclasses.replace(experiment, steps=steps + (SendStep("f", Publish(b"a/+", b"x")),))
-    assert not scripted_input_conformant(bad)
+    assert not model_script(bad).input_conformant
 
 
 def test_repeat_expansion_count():
@@ -390,6 +395,45 @@ def test_a_text_field_parses_or_names_its_path(field, text):
         return
     assert encodable
     _assert_usable(parsed)
+
+
+@st.composite
+def _one_step_documents(draw):
+    """One session, maybe with credentials or a non-UTF-8 client id, and one wire step."""
+    session = {"id": "f"}
+    for key in draw(st.sets(st.sampled_from(("username", "password")))):
+        session[key] = "u"
+    if draw(st.booleans()):
+        session["client_id_hex"] = draw(st.sampled_from(("66", "c3a9", "fffe")))
+    action = draw(st.sampled_from(("publish", "puback", "pubrec", "pubrel", "pubcomp",
+                                   "subscribe", "unsubscribe")))
+    step = {"session": "f", "action": action}
+    if action == "publish":
+        qos = draw(st.integers(0, 2))
+        step.update(topic="t", qos=qos, dup=draw(st.booleans()), retain=draw(st.booleans()))
+        if qos:
+            step["packet_id"] = draw(st.integers(0, 2))
+    else:
+        step["packet_id"] = draw(st.integers(0, 2))
+    if action in ("subscribe", "unsubscribe"):
+        # 't', 't/#', and bytes that are not UTF-8
+        step["filter_hex"] = draw(st.sampled_from(("74", "742f23", "74ff")))
+    return {"name": "t", "sessions": [session], "steps": [step]}
+
+
+@given(_one_step_documents())
+@SWEEP
+def test_a_codec_annotation_implies_nonconformant_input(doc):
+    # The model's rules must cover every rule the codec annotates on
+    # what a script sends, or the refbroker's close on the annotation
+    # reads as an unexpected disconnect.
+    experiment = parse_experiment(json.dumps(doc))
+    packets = [decl.to_connect() for decl in experiment.sessions]
+    packets += [step.packet for step in expand_steps(experiment)]
+    annotated = [codec.decode_packet(codec.encode_packet(packet), codec.DecodeMode.PERMISSIVE)[1]
+                 for packet in packets]
+    if any(annotated):
+        assert not model_script(experiment).input_conformant, annotated
 
 
 def test_wait_step_parses():

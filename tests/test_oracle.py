@@ -1,8 +1,11 @@
 """Anomaly detection rules, fingerprinting, and profile diffing."""
 
+import json
+
 import pytest
 
 from mqttprobe import corpus, oracle
+from mqttprobe.experiment import model_script, parse_experiment
 from mqttprobe.oracle import (
     ACK_BEFORE_PREREQUISITE,
     BROKER_CRASH,
@@ -22,7 +25,6 @@ from mqttprobe.oracle import (
     diff_profiles,
     evaluate_trace,
     fingerprint,
-    scripted_input_conformant,
     summarize_outcome,
 )
 from mqttprobe.profiles import (
@@ -34,7 +36,7 @@ from mqttprobe.profiles import (
     QOS21,
     documented_profiles,
 )
-from mqttprobe.runner import run_experiment
+from mqttprobe.runner import SETTLED_CLOSED, run_experiment
 from reference_forms import profile_from_json, profile_to_json
 import synthetic
 
@@ -201,9 +203,9 @@ NONCONFORMANT = {
 def test_scripted_input_classification_covers_corpus():
     assert CONFORMANT | NONCONFORMANT == set(_BY_NAME)
     for name in CONFORMANT:
-        assert scripted_input_conformant(_BY_NAME[name]), name
+        assert model_script(_BY_NAME[name]).input_conformant, name
     for name in NONCONFORMANT:
-        assert not scripted_input_conformant(_BY_NAME[name]), name
+        assert not model_script(_BY_NAME[name]).input_conformant, name
 
 
 def test_tolerated_violation_reported_as_info():
@@ -268,6 +270,33 @@ def test_refbroker_profiled_scenarios_are_clean(endpoint):
         noisy = [a for a in result.anomalies
                  if a.severity >= Severity.WARNING]
         assert noisy == [], (name, [a.code for a in noisy])
+
+
+# Each breaks a rule the refbroker closes on: one the codec annotates,
+# or its filter check.  (session fields, step, the broker's close reason)
+_CLOSED_ON = {
+    "subscribe_packet_id_0": (
+        {}, {"action": "subscribe", "filter": "t", "packet_id": 0}, "annotations"),
+    "unsubscribe_packet_id_0": (
+        {}, {"action": "unsubscribe", "filter": "t", "packet_id": 0}, "annotations"),
+    "password_without_username": ({"password": "p"}, {"action": "pingreq"}, "annotations"),
+    "dup_on_qos0": ({}, {"action": "publish", "topic": "t", "dup": True}, "annotations"),
+    "unsubscribe_invalid_filter": (
+        {}, {"action": "unsubscribe", "filter": "t/#/x"}, "violation"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_ON))
+def test_refbroker_close_on_nonconformant_input_is_no_anomaly(name, broker, endpoint):
+    session, step, reason = _CLOSED_ON[name]
+    experiment = parse_experiment(json.dumps({
+        "name": name, "sessions": [{"id": "f", **session}],
+        "steps": [{"session": "f", **step}]}))
+    assert not model_script(experiment).input_conformant
+    trace = run_experiment(experiment, endpoint)
+    assert broker.stats()["closes"][reason] == 1
+    assert trace.settled_by == SETTLED_CLOSED
+    assert evaluate_trace(experiment, trace).anomalies == ()
 
 
 # ---------------------------------------------------------------------------

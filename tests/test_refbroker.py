@@ -62,6 +62,8 @@ def test_invalid_filter_is_fatal():
     r = _connected(Router(), "a", b"alpha")
     with pytest.raises(refbroker.ProtocolViolation):
         r.handle("a", Subscribe(packet_id=1, entries=((b"bad/#/mid", 1),)))
+    with pytest.raises(refbroker.ProtocolViolation):
+        r.handle("a", Unsubscribe(packet_id=2, filters=(b"bad/#/mid",)))
 
 
 def test_qos1_routes_before_ack():
