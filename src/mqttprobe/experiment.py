@@ -13,7 +13,10 @@ point.
 
 Parsing is total over arbitrary JSON text: any input either yields an
 Experiment or raises one of the typed errors below with a path to the
-offending element.
+offending element.  A document file is read in pieces, and each step is
+built as soon as its element is read, so neither the file's text nor its
+JSON tree is ever whole; what a fault reports does not depend on how
+the text was read.
 
 ``model_script`` replays a script through a conformant-broker model to
 say which deliveries it should cause and whether the script stays inside
@@ -25,8 +28,9 @@ from __future__ import annotations
 import binascii
 import functools
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, fields
-from typing import get_args
+from typing import TextIO, get_args
 
 from . import codec, topics
 
@@ -320,40 +324,22 @@ def model_script(experiment: Experiment) -> ScriptModel:
 
 # --- parsing ---------------------------------------------------------------
 
-class _Shared:
-    """One parse's memos: each distinct string value, and its bytes, built once.
-
-    A script repeats few topics and payloads many times; sharing them
-    makes the parsed document cost in proportion to the distinct values,
-    not to the steps.
-    """
-
-    def __init__(self) -> None:
-        self.strings: dict[str, str] = {}
-        self.text: dict[str, bytes] = {}  # a text field's value -> its UTF-8
-        self.hex: dict[str, bytes] = {}   # a '_hex' field's value -> its bytes
-
-    def object_hook(self, obj: dict) -> dict:
-        """For ``json.loads``: point every string value at its first copy."""
-        strings = self.strings
-        for key, value in obj.items():
-            if type(value) is str:
-                obj[key] = strings.setdefault(value, value)
-        return obj
-
-
 _ABSENT = object()
 
 
 class _Obj:
     """A JSON object being consumed key by key; leftovers are errors.
 
-    It consumes ``raw`` itself: the parse owns the ``json.loads`` tree.
+    It consumes ``raw`` itself: the parse owns every decoded value.  Every
+    text it keeps and every bytes value it makes is first looked up in
+    ``shared``, the parse's memo of each distinct one: a script repeats
+    few topics and payloads many times, so the parsed document costs in
+    proportion to the distinct values, not to the steps.
     """
 
     __slots__ = ("raw", "path", "shared")
 
-    def __init__(self, raw: object, path: str, shared: _Shared):
+    def __init__(self, raw: object, path: str, shared: dict):
         if not isinstance(raw, dict):
             raise SchemaError(path, f"expected an object, got {type(raw).__name__}")
         self.raw = raw
@@ -380,9 +366,11 @@ class _Obj:
     def take_text(self, key: str, default: object = ...) -> str:
         """A string that encodes as UTF-8: JSON can escape a lone surrogate."""
         value = self.take(key, str, default)
-        if value is not None and not value.isascii():  # type: ignore[attr-defined]
+        if value is None:
+            return value
+        if not value.isascii():  # type: ignore[attr-defined]
             _utf8(value, self.sub(key))  # type: ignore[arg-type]
-        return value  # type: ignore[return-value]
+        return self.shared.setdefault(value, value)
 
     def take_int(self, key: str, low: int, high: int, default: object = ...) -> int | None:
         value = self.take(key, int, default)
@@ -397,23 +385,17 @@ class _Obj:
         if key in self.raw and hex_key in self.raw:
             raise SchemaError(self.path, f"{key!r} and {hex_key!r} are mutually exclusive")
         if hex_key in self.raw:
-            text = self.take(hex_key, str)
-            data = self.shared.hex.get(text)  # type: ignore[arg-type]
-            if data is None:
-                try:
-                    data = self.shared.hex[text] = binascii.unhexlify(text)  # type: ignore[index]
-                except (binascii.Error, ValueError):
-                    raise SchemaError(self.sub(hex_key), "invalid hex string") from None
-            return data
-        if key in self.raw:
-            text = self.take(key, str)
-            data = self.shared.text.get(text)  # type: ignore[arg-type]
-            if data is None:
-                data = self.shared.text[text] = _utf8(text, self.sub(key))  # type: ignore[index,arg-type]
-            return data
-        if default is ...:
+            try:
+                data = binascii.unhexlify(self.take(hex_key, str))  # type: ignore[arg-type]
+            except (binascii.Error, ValueError):
+                raise SchemaError(self.sub(hex_key), "invalid hex string") from None
+        elif key in self.raw:
+            data = _utf8(self.take(key, str), self.sub(key))  # type: ignore[arg-type]
+        elif default is ...:
             raise SchemaError(self.path, f"missing required key {key!r} (or {hex_key!r})")
-        return default
+        else:
+            return default
+        return self.shared.setdefault(data, data)
 
     def finish(self) -> None:
         if self.raw:
@@ -464,14 +446,14 @@ _STEP_FIELDS = {action: (cls, _field_spec(cls)) for action, cls in (
     *_SEND_PACKETS.items())}
 
 
-def _parse_session(raw: object, path: str, shared: _Shared) -> SessionDecl:
+def _parse_session(raw: object, path: str, shared: dict) -> SessionDecl:
     obj = _Obj(raw, path, shared)
     decl = SessionDecl(*[read(obj, *args) for read, args in _SESSION_FIELDS])
     obj.finish()
     return decl
 
 
-def _parse_step(raw: object, path: str, depth: int, shared: _Shared) -> Step:
+def _parse_step(raw: object, path: str, depth: int, shared: dict) -> Step:
     obj = _Obj(raw, path, shared)
     session = obj.take_text("session")
     action = obj.take("action", str)
@@ -500,15 +482,178 @@ def _parse_step(raw: object, path: str, depth: int, shared: _Shared) -> Step:
     return step
 
 
-def parse_experiment(text: str) -> Experiment:
-    """Parse a JSON experiment document."""
-    shared = _Shared()
+# Characters read from a document file at a time.
+READ_CHUNK = 1 << 16
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+
+class _NotJson(Exception):
+    """The walk met text that ``json.loads`` rejects, or a top level that is no object."""
+
+
+def _read(handle: TextIO, size: int = -1) -> str:
     try:
-        raw = json.loads(text, object_hook=shared.object_hook)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("", f"not valid JSON: {exc}") from None
-    del text  # frees the document while the steps are built, unless the caller holds it
-    obj = _Obj(raw, "", shared)
+        return handle.read(size)
+    except UnicodeDecodeError:
+        raise SchemaError("", "not valid UTF-8") from None
+
+
+class _Window:
+    """The unread part of a document: all of a text, or what was read of a file so far."""
+
+    __slots__ = ("text", "pos", "handle", "scan")
+
+    def __init__(self, text: str, handle: TextIO | None):
+        self.text, self.pos, self.handle = text, 0, handle
+        # What ``json.loads`` runs on each value; it raises StopIteration
+        # where no value starts.
+        self.scan = json.JSONDecoder().scan_once
+
+    def more(self) -> bool:
+        """Read on, keeping the unread part; False at the end.
+
+        While one value does not fit, each read is as long as the unread
+        part, so the window doubles and a long value is read in linear time.
+        """
+        if self.handle is None:
+            return False
+        rest = self.text[self.pos:]
+        chunk = _read(self.handle, max(READ_CHUNK, len(rest)))
+        if not chunk:
+            self.handle = None
+            return False
+        self.text, self.pos = rest + chunk, 0
+        return True
+
+    def peek(self) -> str:
+        """The next character after JSON whitespace, '' at the end."""
+        while True:
+            self.pos = _WHITESPACE(self.text, self.pos).end()
+            if self.pos < len(self.text):
+                return self.text[self.pos]
+            if not self.more():
+                return ""
+
+    def value(self) -> object:
+        """Decode the JSON value after JSON whitespace."""
+        while True:
+            text = self.text
+            start = _WHITESPACE(text, self.pos).end()
+            try:
+                value, end = self.scan(text, start)
+            except (StopIteration, json.JSONDecodeError):
+                if self.more():
+                    continue
+                raise _NotJson from None
+            # A number may go on past the window: "1" of "12", "1." of
+            # "1.5", "1e+" of "1e+5".
+            if len(text) - end <= 2 and type(value) in (int, float) and self.more():
+                continue
+            self.pos = end
+            return value
+
+    def at_end(self, char: str) -> bool:
+        """Step past ``char``, the end of an object or array, and return True,
+        or past a ',' and return False."""
+        found = self.peek()
+        if found != char and found != ",":
+            raise _NotJson
+        self.pos += 1
+        return found == char
+
+    def members(self, shared: dict) -> dict[str, object]:
+        """The top-level object's members, the last value of each key.
+
+        A steps array is built a step at a time as it is read (``_Steps``).
+        """
+        if self.peek() != "{":
+            raise _NotJson
+        self.pos += 1
+        members: dict[str, object] = {}
+        if self.peek() == "}":
+            self.pos += 1
+        else:
+            while True:
+                if self.peek() != '"':
+                    raise _NotJson
+                key = self.value()
+                if self.peek() != ":":
+                    raise _NotJson
+                self.pos += 1
+                if key == "steps" and self.peek() == "[":
+                    members[key] = _build_steps(self.items(), shared)
+                else:
+                    members[key] = self.value()
+                if self.at_end("}"):
+                    break
+        if self.peek():
+            raise _NotJson  # data after the object
+        return members
+
+    def items(self) -> Iterator[object]:
+        """Each element of the array at the next character, decoded as it is read."""
+        self.pos += 1
+        if self.peek() == "]":
+            self.pos += 1
+            return
+        while True:
+            yield self.value()
+            if self.at_end("]"):
+                return
+
+
+class _Steps(list):
+    """A document's steps, built as its array is read; the first fault ends the building."""
+
+    fault: ExperimentError | None = None
+
+
+def _build_steps(items: Iterable[object], shared: dict) -> _Steps:
+    """Every item is read, so a JSON fault after a faulty step still wins."""
+    steps = _Steps()
+    for i, item in enumerate(items):
+        if steps.fault is None:
+            try:
+                steps.append(_parse_step(item, f"steps[{i}]", 0, shared))
+            except ExperimentError as exc:
+                steps.fault = exc
+                steps.clear()
+    return steps
+
+
+def parse_experiment(source: str | TextIO) -> Experiment:
+    """Parse a JSON experiment document, given as its text or as an open text file.
+
+    A file that can seek is read READ_CHUNK characters at a time and each
+    step is built as its element is read, so neither the text nor its
+    JSON tree is ever whole; one that cannot is read whole first.  On a
+    JSON fault, or a top level that is no object, the text is read again
+    from the start and given to ``json.loads``: a JSON error is the one it
+    raises on the whole text, and it wins over any schema fault.
+    """
+    shared: dict = {}
+    if isinstance(source, str):
+        text, handle = source, None
+    elif source.seekable():
+        text, handle, start = "", source, source.tell()
+    else:
+        text, handle = _read(source), None
+    try:
+        members: object = _Window(text, handle).members(shared)
+    except _NotJson:
+        if handle is not None:
+            handle.seek(start)
+            text = _read(handle)
+        try:
+            members = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("", f"not valid JSON: {exc}") from None
+    return _build(members, shared)
+
+
+def _build(members: object, shared: dict) -> Experiment:
+    """The experiment of a top-level object; its faults, then its sessions', then its steps'."""
+    obj = _Obj(members, "", shared)
     name = obj.take_text("name")
     if not name:
         raise SchemaError("name", "must not be empty")
@@ -518,7 +663,7 @@ def parse_experiment(text: str) -> Experiment:
     description = obj.take_text("description", "")
     settle_ms = obj.take_int("settle_ms", 0, MAX_SETTLE_MS, DEFAULT_SETTLE_MS)
     sessions_raw = obj.take("sessions", list)
-    steps_raw = obj.take("steps", list)
+    steps = obj.take("steps", list)
     obj.finish()
 
     sessions = []
@@ -532,15 +677,12 @@ def parse_experiment(text: str) -> Experiment:
     if not sessions:
         raise SchemaError("sessions", "at least one session is required")
 
-    # Each raw step is dropped once built, so the tree and the steps are
-    # never both whole.
-    steps = []
-    for i, item in enumerate(steps_raw):  # type: ignore[arg-type]
-        steps_raw[i] = None  # type: ignore[index]
-        steps.append(_parse_step(item, f"steps[{i}]", 0, shared))
-
+    if type(steps) is not _Steps:  # a tree, had the walk given up on what json.loads reads
+        steps = _build_steps(steps, shared)  # type: ignore[arg-type]
+    if steps.fault is not None:  # type: ignore[union-attr]
+        raise steps.fault  # type: ignore[union-attr]
     experiment = Experiment(name=name, description=description,
-                            sessions=tuple(sessions), steps=tuple(steps),
+                            sessions=tuple(sessions), steps=tuple(steps),  # type: ignore[arg-type]
                             settle_ms=settle_ms)
     _check_session_refs(experiment)
     if _expanded_count(experiment.steps) > MAX_EXPANDED_STEPS:
@@ -559,11 +701,10 @@ def _check_session_refs(experiment: Experiment) -> None:
 
     def walk(steps: tuple[Step, ...], prefix: str) -> None:
         for i, step in enumerate(steps):
-            path = f"{prefix}[{i}]"
             if step.session not in declared:
-                raise UnknownSessionRefError(path, step.session)
+                raise UnknownSessionRefError(f"{prefix}[{i}]", step.session)
             if type(step) is RepeatStep:
-                walk(step.steps, f"{path}.steps")
+                walk(step.steps, f"{prefix}[{i}].steps")
 
     walk(experiment.steps, "steps")
 

@@ -49,7 +49,7 @@ def _load_experiments(args: argparse.Namespace) -> list[Experiment]:
         experiments.extend(builtin_corpus())
     for path in args.experiment:
         with open(path, "r", encoding="utf-8") as handle:
-            experiments.append(parse_experiment(handle.read()))
+            experiments.append(parse_experiment(handle))
     if args.settle_ms is not None:
         experiments = [dataclasses.replace(e, settle_ms=args.settle_ms)
                        for e in experiments]

@@ -39,6 +39,7 @@ both go through these two.
 from __future__ import annotations
 
 import enum
+from array import array
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
@@ -168,7 +169,9 @@ def _payload_text(payload: bytes, limit: int = 24) -> str:
 
 # --- the judge -------------------------------------------------------------
 
-_ACK_NAMES = {cls: cls.__name__.lower() for cls in (Puback, Pubrec, Pubrel, Pubcomp, Suback)}
+_ACKS = (Puback, Pubrec, Pubrel, Pubcomp, Suback)
+_ACK_CODES = {cls: code for code, cls in enumerate(_ACKS)}
+_ACK_NAMES = tuple(cls.__name__.lower() for cls in _ACKS)
 
 
 class Judge:
@@ -178,34 +181,57 @@ class Judge:
     anomalies once, in ``outcome``.  A delivery is a received PUBLISH on a
     subscriber session; a DUP copy of a qos>0 one already seen (same
     session, id, topic and payload) is a retransmission and collapses.
-    Each delivery is kept as the model's own identity tuple, or the first
-    copy of one the model does not expect, never as the received bytes.
+
+    It keeps the script's model and name, not the experiment, and each
+    per-packet index as flat integers: an identity, a session and a
+    subscriber by their number, a packet id in the low 16 bits of a key
+    (the wire holds no more), an ack as ``code << 16 | packet_id``, and
+    seqs in arrays.  ``outcome`` turns them back into identities and
+    ``(name, id)`` pairs.
     """
 
     def __init__(self, experiment: Experiment):
-        self.experiment = experiment
-        model = experiment.model
-        self.subscribers = model.subscriber_sessions
+        self.name = experiment.name
+        self.model = model = experiment.model
+        self.subscribers = {session: n for n, session in enumerate(
+            sorted(model.subscriber_sessions))}
         self.orphan_ids = {packet_id for _, packet_id in model.orphan_pubrels}
-        self.identities: dict[Identity, Identity] = {i: i for i in model.expected}
-        self.delivered: list[Identity] = []
-        self.delivery_seqs: list[int] = []
-        self.seen: set[tuple[str, int, Identity]] = set()  # the dup-collapse keys
-        self.sent_seqs: dict[Identity, list[int]] = {}   # scripted publishes
+        # Each identity by number: the model's, then any it does not
+        # expect as first delivered, each kept as its first copy.
+        self.identities: list[Identity] = []
+        self.numbers: dict[Identity, int] = {}
+        for identity in model.expected:
+            self._number(identity)
+        self.delivered = array("q")        # identity numbers
+        self.delivery_seqs = array("q")
+        self.seen: set[int] = set()        # the dup-collapse keys
+        self.sent_seqs: dict[int, array] = {}  # scripted publishes of known identities
         # Per session, declared ones first, each in arrival order: the order
         # across sessions is the scheduler's, and would differ run to run.
-        self.ack_flows: dict[str, list[tuple[str, int]]] = {
-            decl.id: [] for decl in experiment.sessions}
-        self.first_pubrec: dict[tuple[str, int], int] = {}
-        self.first_pubcomp: dict[tuple[str, int], int] = {}
+        self.sessions = {decl.id: n for n, decl in enumerate(experiment.sessions)}
+        self.ack_flows = [array("q") for _ in self.sessions]
+        self.first_pubrec: dict[int, int] = {}                # session key -> seq
+        self.first_pubcomp: dict[int, int] = {}
         self.last_ack_seq: int | None = None              # of a PUBACK or PUBREC
         self.comp_after_delivery: int | None = None       # first PUBCOMP since the last one
-        self.first_suback: dict[tuple[str, int], int] = {}
-        self.granted: set[tuple[str, int]] = set()        # a SUBACK granted some filter
+        self.first_suback: dict[int, int] = {}
+        self.granted: set[int] = set()                    # a SUBACK granted some filter
         self.orphan_pubrels: dict[int, list[int]] = {}    # scripted PUBRELs of orphan ids
         self.said_bye: set[str] = set()
         self.closes: list[tuple[int, str]] = []           # peer closes before a DISCONNECT
         self.first_sent: int | None = None
+
+    def _number(self, identity: Identity) -> int:
+        number = self.numbers.get(identity)
+        if number is None:
+            number = self.numbers[identity] = len(self.identities)
+            self.identities.append(identity)
+        return number
+
+    def _key(self, session: str, packet_id: int) -> int:
+        """A (session, packet id) pair as one int; -1 for a session no packet came on."""
+        number = self.sessions.get(session)
+        return -1 if number is None else number << 16 | packet_id
 
     def __call__(self, event: TraceEvent) -> None:
         kind = event.kind
@@ -213,7 +239,7 @@ class Judge:
             cls = type(event.packet)
             if cls is Publish:
                 self._publish(event.seq, event.session, event.packet)
-            elif cls in _ACK_NAMES:
+            elif cls in _ACK_CODES:
                 self._ack(event.seq, event.session, event.packet)
         elif kind == K_SENT:
             if self.first_sent is None:
@@ -226,29 +252,39 @@ class Judge:
     def _scripted(self, seq: int, session: str, packet: Packet | None) -> None:
         cls = type(packet)
         if cls is Publish:
-            self.sent_seqs.setdefault((packet.topic, packet.payload), []).append(seq)
+            number = self.numbers.get((packet.topic, packet.payload))
+            if number is not None:
+                seqs = self.sent_seqs.get(number)
+                if seqs is None:
+                    seqs = self.sent_seqs[number] = array("q")
+                seqs.append(seq)
         elif cls is Pubrel and packet.packet_id in self.orphan_ids:
             self.orphan_pubrels.setdefault(packet.packet_id, []).append(seq)
         elif cls is Disconnect:
             self.said_bye.add(session)
 
     def _publish(self, seq: int, session: str, packet: Publish) -> None:
-        if session not in self.subscribers:
+        subscriber = self.subscribers.get(session)
+        if subscriber is None:
             return
-        identity = (packet.topic, packet.payload)
-        identity = self.identities.setdefault(identity, identity)
+        number = self._number((packet.topic, packet.payload))
         if packet.packet_id is not None:
-            key = (session, packet.packet_id, identity)
+            key = (number * len(self.subscribers) + subscriber) << 16 | packet.packet_id
             if packet.dup and key in self.seen:
                 return
             self.seen.add(key)
-        self.delivered.append(identity)
+        self.delivered.append(number)
         self.delivery_seqs.append(seq)
         self.comp_after_delivery = None
 
     def _ack(self, seq: int, session: str, packet: Packet) -> None:
-        cls, key = type(packet), (session, packet.packet_id)  # type: ignore[union-attr]
-        self.ack_flows.setdefault(session, []).append((_ACK_NAMES[cls], key[1]))
+        cls, packet_id = type(packet), packet.packet_id  # type: ignore[union-attr]
+        number = self.sessions.get(session)
+        if number is None:
+            number = self.sessions[session] = len(self.ack_flows)
+            self.ack_flows.append(array("q"))
+        self.ack_flows[number].append(_ACK_CODES[cls] << 16 | packet_id)
+        key = number << 16 | packet_id
         if cls is Puback or cls is Pubrec:
             self.last_ack_seq = seq
             if cls is Pubrec:
@@ -264,8 +300,8 @@ class Judge:
 
     def outcome(self, aborted: bool) -> ScenarioOutcome:
         """The verdict on the events fed so far."""
-        experiment, model = self.experiment, self.experiment.model
-        delivered, delivery_order = self.delivered, self.delivery_seqs
+        model, delivery_order = self.model, self.delivery_seqs
+        delivered = tuple(map(self.identities.__getitem__, self.delivered))
         anomalies: list[Anomaly] = []
 
         # R1: per-identity delivery counts against the conformant model.
@@ -280,7 +316,7 @@ class Judge:
             got = len(delivery_seqs.get(identity, ()))
             if got < want and identity not in model.qos0_identities:
                 anomalies.append(make_anomaly(
-                    LOST_MESSAGE, tuple(self.sent_seqs.get(identity, (0,))),
+                    LOST_MESSAGE, tuple(self.sent_seqs.get(self.numbers[identity], (0,))),
                     f"payload {_payload_text(identity[1])} was published {want} time(s) with qos>0 "
                     f"but delivered {got} time(s)"))
             elif got > want:
@@ -316,7 +352,7 @@ class Judge:
             if rec_seq is not None and comp_seq < rec_seq:
                 anomalies.append(make_anomaly(
                     ACK_BEFORE_PREREQUISITE, (comp_seq, rec_seq),
-                    f"PUBCOMP for id {key[1]} arrived before its PUBREC"))
+                    f"PUBCOMP for id {key & 0xFFFF} arrived before its PUBREC"))
 
         # R4: all forwards deferred past the acks, then completed.
         if delivery_order and self.last_ack_seq is not None \
@@ -337,11 +373,12 @@ class Judge:
             if session in closed_sessions:
                 continue
             for topic_filter, sub_packet_id in filters:
-                if (session, sub_packet_id) in self.granted \
+                key = self._key(session, sub_packet_id)
+                if key in self.granted \
                         and topic_filter in expected_topics \
                         and topic_filter not in delivered_topics:
                     anomalies.append(make_anomaly(
-                        TOPIC_TRUNCATION, (self.first_suback[session, sub_packet_id],),
+                        TOPIC_TRUNCATION, (self.first_suback[key],),
                         f"subscription to a {len(topic_filter)}-byte topic was "
                         f"granted but an exact-topic publish was never "
                         f"delivered: the stored filter no longer matches"))
@@ -349,7 +386,7 @@ class Judge:
         # R7 before R6: a rejected orphan release claims the close.
         orphan_rejected = False
         for session, packet_id in model.orphan_pubrels:
-            if (session, packet_id) in self.first_pubcomp:
+            if self._key(session, packet_id) in self.first_pubcomp:
                 continue
             orphan_rejected = True
             evidence = tuple(self.orphan_pubrels.get(packet_id, ()))
@@ -373,9 +410,10 @@ class Judge:
                 "connection open"))
 
         return ScenarioOutcome(
-            experiment_name=experiment.name,
-            delivered=tuple(delivered),
-            ack_flow=tuple(ack for flow in self.ack_flows.values() for ack in flow),
+            experiment_name=self.name,
+            delivered=delivered,
+            ack_flow=tuple((_ACK_NAMES[ack >> 16], ack & 0xFFFF)
+                           for flow in self.ack_flows for ack in flow),
             anomalies=tuple(anomalies),
             aborted=aborted)
 

@@ -100,12 +100,14 @@ RECV_BYTES = 65536
 TURN_FRAMES = 32
 
 # Why a connection ended, as counted by RefBroker.stats().  The first
-# seven are the broker's own verdicts and a peer hang-up; ``disconnect``
-# is a client DISCONNECT, ``refused`` a CONNACK refusal, ``error`` a
-# broker fault confined to one connection, ``stopped`` the broker's stop.
+# eight are the broker's own verdicts and a peer hang-up: ``peer`` after
+# the client sent something, ``silent`` before its first byte (a bare
+# reachability check); ``disconnect`` is a client DISCONNECT, ``refused``
+# a CONNACK refusal, ``error`` a broker fault confined to one connection,
+# ``stopped`` the broker's stop.
 CLOSE_REASONS = ("malformed", "annotations", "violation", "first-packet-not-connect",
-                 "peer", "slow-consumer", "evicted", "disconnect", "refused", "error",
-                 "stopped")
+                 "peer", "silent", "slow-consumer", "evicted", "disconnect", "refused",
+                 "error", "stopped")
 
 
 class BrokerBindError(OSError):
@@ -507,16 +509,21 @@ class RefBroker:
         except BlockingIOError:
             return
         except OSError as exc:
-            self._close(conn, "peer", str(exc))
+            self._close(conn, self._hang_up(conn), str(exc))
             return
         if not chunk:
-            self._close(conn, "peer")
+            self._close(conn, self._hang_up(conn))
             return
         conn.inbuf += chunk
         if not conn.connected:
             self._connect_at_once(conn)
         if conn.inbuf:
             self._fifo[conn] = None
+
+    @staticmethod
+    def _hang_up(conn: _Conn) -> str:
+        """A peer's close: ``silent`` if it never sent a byte, else ``peer``."""
+        return "peer" if conn.connected or conn.inbuf else "silent"
 
     def _connect_at_once(self, conn: _Conn) -> None:
         """Dispatch and answer a new connection's first frame as it is read.
@@ -659,7 +666,7 @@ class RefBroker:
             return
         conn.closed = True
         self._closes[reason] += 1
-        log.log(logging.DEBUG if reason in ("peer", "stopped") else logging.INFO,
+        log.log(logging.DEBUG if reason in ("peer", "silent", "stopped") else logging.INFO,
                 "event=close peer=%s reason=%s detail=%s", conn.peer, reason, detail)
         self.router.detach(conn)
         if conn.out:

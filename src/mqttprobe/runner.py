@@ -663,24 +663,27 @@ def run_corpus(experiments: Iterable[Experiment], endpoint: Endpoint,
 
     Each run feeds a new ``oracle.Judge`` as it records, and its result is
     yielded with the verdict (None after a runner error) and only the
-    experiment's name, before the next experiment starts.  After a dead
-    probe the rest are skipped, not run into a corpse.  With a
-    ``trace_dir``, each run writes its trace to ``<name>.jsonl`` there.
+    experiment's name, before the next experiment starts.  The experiment
+    itself is dropped once it has run: the judge keeps its model, and the
+    probe and the verdict need none of its steps.  After a dead probe the
+    rest are skipped, not run into a corpse.  With a ``trace_dir``, each
+    run writes its trace to ``<name>.jsonl`` there.
     """
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
     liveness = Liveness(True)
     for experiment in experiments:
+        named = Experiment(experiment.name)
         if not liveness.alive:
-            yield CorpusResult(Experiment(experiment.name), None, liveness,
-                               skipped=f"broker dead: {liveness.detail}")
+            yield CorpusResult(named, None, liveness, skipped=f"broker dead: {liveness.detail}")
             continue
         judge = Judge(experiment)
         trace = _trace_or_error(experiment, endpoint, trace_dir, judge)
+        del experiment
         liveness = probe_liveness(endpoint)
-        yield CorpusResult(Experiment(experiment.name), trace, liveness,
+        yield CorpusResult(named, trace, liveness,
                            outcome=None if trace.outcome == OUTCOME_RUNNER_ERROR
-                           else evaluate_trace(experiment, trace, judge))
+                           else evaluate_trace(named, trace, judge))
 
 
 def _trace_or_error(experiment: Experiment, endpoint: Endpoint, trace_dir: str | None,

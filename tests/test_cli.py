@@ -391,10 +391,13 @@ def test_run_holds_one_trace_at_a_time(tmp_path, monkeypatch, capsys):
 
 
 # The run below peaked at 31.9 MiB under tracemalloc while the run held
-# its trace until it ended, and at 16.7 MiB once each event is judged as
-# it is recorded and written in the next wait (Python 3.11, refbroker in
-# process).
-RUN_PEAK_BOUND = 24 << 20
+# its trace until it ended, at 16.7 MiB once each event is judged as it
+# is recorded and written in the next wait, at 13.6 MiB once the trace
+# backlog was bounded, and at 10.4 MiB once the document is read a step
+# at a time, the judge packs its indexes and the steps go before the
+# verdict (Python 3.11, refbroker in process).  The bound leaves 2.6 MiB
+# over that, and the 13.6 MiB run fails it.
+RUN_PEAK_BOUND = 13 << 20
 
 
 def test_run_peak_memory_does_not_hold_the_trace(broker, tmp_path, monkeypatch):
@@ -484,6 +487,18 @@ def test_a_name_that_is_not_utf8_exits_one_before_any_probe(tmp_path, monkeypatc
     assert code == 1
     assert probes == []
     assert "name: not encodable as UTF-8" in capsys.readouterr().err
+
+
+def test_a_file_that_is_not_utf8_exits_one_before_any_probe(tmp_path, monkeypatch, capsys):
+    probes = []
+    monkeypatch.setattr(fuzzer, "probe_liveness",
+                        lambda endpoint: probes.append(endpoint) or Liveness(True))
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"name": "x\xff"}')
+    code = run_cli("run", "--target", "127.0.0.1:1", "--experiment", str(path))
+    assert code == 1
+    assert probes == []
+    assert capsys.readouterr().err == "mqttprobe: error: not valid UTF-8\n"
 
 
 def test_settle_override_applies(broker, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Scenario DSL: parsing, validation, rendering, expansion."""
 
 import dataclasses
+import io
 import json
+import os
 import tracemalloc
 from typing import get_args
 
@@ -447,3 +449,139 @@ def test_schema_error_renders_path_colon_reason():
         parse_experiment(_doc(settle_ms=-1))
     text = str(exc.value)
     assert ":" in text and "settle_ms" in text
+
+
+# --- a document read from a file -------------------------------------------
+
+def _result(source):
+    """What parsing ``source`` gives: the experiment, or its error's type, path and reason."""
+    try:
+        return parse_experiment(source)
+    except ExperimentError as exc:
+        return type(exc), getattr(exc, "path", None), getattr(exc, "reason", None), str(exc)
+
+
+class _Source(io.StringIO):
+    """An open text file that counts how often it is read again from the start."""
+
+    rereads = 0
+
+    def seek(self, *args):
+        self.rereads += 1
+        return super().seek(*args)
+
+
+def _is_json_object(text):
+    try:
+        return isinstance(json.loads(text), dict)
+    except json.JSONDecodeError:
+        return False
+
+
+_SESSION_TEXT = '"sessions": [{"id": "f"}]'
+_BOGUS_TEXT = '{"session": "f", "action": "bogus"}'
+_PING_TEXT = '{"session": "f", "action": "pingreq"}'
+_DOCUMENTS = [
+    # A JSON fault after a faulty step: the JSON error wins.
+    f'{{"name": "x", {_SESSION_TEXT}, "steps": [{_BOGUS_TEXT}, {_PING_TEXT} oops]}}',
+    f'{{"name": "x", {_SESSION_TEXT}, "steps": [{_BOGUS_TEXT}, {_PING_TEXT},]}}',
+    f'{{"name": "x", {_SESSION_TEXT}, "steps": [{_BOGUS_TEXT}], "steps": [{_PING_TEXT}]',
+    # Steps given twice: the last wins, with a fault in either copy.
+    f'{{"name": "x", {_SESSION_TEXT}, "steps": [{_BOGUS_TEXT}], "steps": [{_PING_TEXT}]}}',
+    f'{{"name": "x", {_SESSION_TEXT}, "steps": [{_PING_TEXT}], "steps": [{_BOGUS_TEXT}]}}',
+    f'{{"name": "x", {_SESSION_TEXT}, "steps": [{_BOGUS_TEXT}], "steps": {{}}}}',
+    f'{{"steps": {{}}, "name": "x", {_SESSION_TEXT}, "steps": [{_PING_TEXT}, {_PING_TEXT}]}}',
+    # The top level's faults, then the sessions', then the first faulty step's,
+    # whatever order the keys come in.
+    f'{{"steps": [{_BOGUS_TEXT}], {_SESSION_TEXT}}}',
+    f'{{"steps": [{_BOGUS_TEXT}], "name": "x", "sessions": [{{"id": 1}}]}}',
+    f'{{"steps": [{_PING_TEXT}, {_BOGUS_TEXT}, 7], "name": "x", {_SESSION_TEXT}}}',
+    f'{{"steps": [{_PING_TEXT}], "name": "x", "sessions": [{{"id": "g"}}]}}',
+    # Not one object: a top-level array, trailing data, a UTF-8 BOM.
+    "[1, 2]", '"x"', "", " \n", "{}", "{,}", '{"name": "x",}', '{"name" "x"}',
+    f'{{"name": "x", {_SESSION_TEXT}, "steps": []}} {{}}',
+    f'{{"name": "x", {_SESSION_TEXT}, "steps": []}}]',
+    f'﻿{{"name": "x", {_SESSION_TEXT}, "steps": []}}',
+    # JSON whitespace everywhere it may stand.
+    f' \t\r\n{{ "name" : "x" ,\n {_SESSION_TEXT} , "steps" : [ {_PING_TEXT} , {_PING_TEXT} ] }} \r\n',
+    # Numbers that a chunk boundary can cut, valid or not.
+    f'{{"name": "x", "settle_ms": 123456, {_SESSION_TEXT}, "steps": ['
+    '{"session": "f", "action": "wait", "ms": 54321}]}',
+    f'{{"name": "x", "settle_ms": 600001, {_SESSION_TEXT}, "steps": []}}',
+    f'{{"name": "x", "settle_ms": 12.5e+1, {_SESSION_TEXT}, "steps": []}}',
+    f'{{"name": "x", "settle_ms": -1.5E-3, {_SESSION_TEXT}, "steps": []}}',
+    f'{{"name": "x", "settle_ms": 7, {_SESSION_TEXT}, "steps": [1234, -5.25e2]}}',
+    f'{{"name": "x", "settle_ms": NaN, {_SESSION_TEXT}, "steps": [-Infinity]}}',
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_a_file_parses_as_its_text_does(chunk, tmp_path, monkeypatch):
+    from test_formats import ALL_ACTIONS, DOCUMENTS
+    monkeypatch.setattr(exp_mod, "READ_CHUNK", chunk)
+    texts = [json.dumps(ALL_ACTIONS), *map(json.dumps, DOCUMENTS.values()), *_DOCUMENTS]
+    path = tmp_path / "doc.json"
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            assert _result(handle) == _result(text), text
+
+
+def test_every_chunk_boundary_reads_the_same_and_json_is_read_once(monkeypatch):
+    # A number cut at the window's end is read again with what follows, so
+    # no valid document falls back to reading its text from the start.
+    for text in _DOCUMENTS:
+        whole = _result(text)
+        for chunk in range(1, len(text) + 2):
+            monkeypatch.setattr(exp_mod, "READ_CHUNK", chunk)
+            source = _Source(text)
+            assert _result(source) == whole, (chunk, text)
+            assert source.rereads == (0 if _is_json_object(text) else 1), (chunk, text)
+
+
+@given(st.text(_TEXT, max_size=200) | _JSON.map(json.dumps), st.integers(1, 9))
+@SWEEP
+def test_any_text_parses_alike_from_a_file(text, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exp_mod, "READ_CHUNK", chunk)
+        assert _result(io.StringIO(text)) == _result(text)
+
+
+def test_a_pipe_is_read_whole(tmp_path):
+    for text in (json.dumps(_repeated_document(2, 2)), _DOCUMENTS[0], _DOCUMENTS[4]):
+        reader, writer = os.pipe()
+        os.write(writer, text.encode("utf-8"))
+        os.close(writer)
+        with open(reader, encoding="utf-8") as handle:
+            assert not handle.seekable()
+            assert _result(handle) == _result(text)
+
+
+def test_a_file_that_is_not_utf8_is_a_schema_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"name": "x\xff"}')
+    with open(path, encoding="utf-8") as handle, pytest.raises(SchemaError) as exc:
+        parse_experiment(handle)
+    assert (exc.value.path, exc.value.reason) == ("", "not valid UTF-8")
+
+
+def test_a_file_is_parsed_without_its_text_or_tree(tmp_path):
+    # 10,000 publishes of distinct payloads: a 3.1 MB text.
+    steps = [{"session": "f", "action": "subscribe", "filter": "m/#", "qos": 1}]
+    steps += [{"session": "f", "action": "publish", "topic": f"m/{i % 8}",
+               "payload": f"{i:06d}".ljust(200, "x"), "qos": 1, "packet_id": i + 1}
+              for i in range(10_000)]
+    path = tmp_path / "publishes.json"
+    path.write_text(_doc(steps=steps), encoding="utf-8")
+    del steps
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with open(path, encoding="utf-8") as handle:
+            kept = parse_experiment(handle)
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(kept.steps) == 10_001
+    # Read whole, the text alone took 3.1 MB over what the parse keeps.
+    assert peak < held + (2 << 20), (peak, held)

@@ -614,10 +614,13 @@ def test_stats_count_a_scripted_session():
         sub.expect_close()
         taken.close()
         assert _wait_for(lambda: srv.stats()["closes"]["peer"] == 1)
+        silent = MiniClient(srv.port)  # a reachability check: it closes before a byte
+        silent.close()
+        assert _wait_for(lambda: srv.stats()["closes"]["silent"] == 1)
         for client in (sub, pub, garbage, early, bad):
             client.close()
     stats = srv.stats()
-    assert stats["accepted"] == 6
+    assert stats["accepted"] == 7
     assert stats["frames_in"] == {"connect": 4, "subscribe": 2, "publish": 3,
                                   "pubrel": 1, "pingreq": 2, "disconnect": 1}
     assert stats["routed"] == 3
@@ -626,7 +629,7 @@ def test_stats_count_a_scripted_session():
     assert stats["frames_out"] == 12
     assert stats["closes"] == dict.fromkeys(refbroker.CLOSE_REASONS, 0) | {
         "malformed": 1, "first-packet-not-connect": 1, "violation": 1,
-        "disconnect": 1, "evicted": 1, "peer": 1}
+        "disconnect": 1, "evicted": 1, "peer": 1, "silent": 1}
 
 
 def test_large_publish_is_buffered_in_linear_time(broker):

@@ -274,6 +274,35 @@ def test_a_run_releases_its_consumer_when_it_returns(endpoint):
         gc.enable()
 
 
+def test_run_corpus_drops_the_experiment_before_its_verdict(endpoint, monkeypatch):
+    # The judge keeps the model; the steps go before the probe and the verdict.
+    pending = [_exp({"name": "steps", "sessions": [{"id": "s"}, {"id": "p"}], "steps": [
+        {"session": "s", "action": "subscribe", "filter": "t", "qos": 1, "packet_id": 1},
+        {"session": "p", "action": "publish", "topic": "t", "payload": "x", "qos": 1,
+         "packet_id": 1}]})]
+    experiment = weakref.ref(pending[0])
+    alive_at_verdict = []
+    outcome = Judge.outcome
+
+    def checked_outcome(judge, aborted):
+        alive_at_verdict.append(experiment() is not None)
+        return outcome(judge, aborted)
+
+    def handed_over():
+        while pending:
+            yield pending.pop()
+
+    monkeypatch.setattr(Judge, "outcome", checked_outcome)
+    gc.disable()
+    try:
+        (result,) = run_corpus(handed_over(), endpoint)
+    finally:
+        gc.enable()
+    assert alive_at_verdict == [False]
+    assert result.experiment.name == "steps"
+    assert result.outcome.delivered == ((b"t", b"x"),) and result.outcome.anomalies == ()
+
+
 def test_probe_liveness_against_live_and_dead(endpoint):
     live = probe_liveness(endpoint)
     assert live.alive and "rc=0" in live.detail
