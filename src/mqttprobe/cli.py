@@ -17,7 +17,8 @@ MQTTPROBE_FAIL_ON, MQTTPROBE_HOST, MQTTPROBE_PORT.  A twin's value is
 checked as the flag's would be.
 
 Exit codes: 0 clean, 1 local error (unreachable target, bad arguments,
-bind failure), 2 anomalies at or above the --fail-on threshold.
+bind failure, a crashed broker loop), 2 anomalies at or above the
+--fail-on threshold.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import logging
 import os
 import signal
 import sys
-import time
 
 from . import __version__
 
@@ -167,8 +167,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         signal.signal(signal.SIGTERM, interrupt)
         print(f"mqttprobe: reference broker listening on "
               f"{args.host}:{broker.port}", file=sys.stderr, flush=True)
-        while True:
-            time.sleep(0.5)
+        broker.join()  # a signal interrupts the join; only a crash ends it
+        print("mqttprobe: error: the broker loop ended (event=loop-crash)",
+              file=sys.stderr, flush=True)
+        return EXIT_LOCAL_ERROR
     except KeyboardInterrupt:
         pass
     finally:

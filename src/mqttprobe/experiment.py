@@ -20,13 +20,13 @@ the text was read.
 
 ``model_script`` replays a script through a conformant-broker model to
 say which deliveries it should cause and whether the script stays inside
-the protocol; the runner settles on it and the oracle judges by it.
+the protocol; the oracle's judge replays it once per run, judges by it,
+and tells the runner's settle which deliveries are still owed.
 """
 
 from __future__ import annotations
 
 import binascii
-import functools
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, fields
@@ -195,12 +195,6 @@ class Experiment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sessions", tuple(self.sessions))
         object.__setattr__(self, "steps", tuple(self.steps))
-
-    # The runner's settle and the oracle both need this; computed once
-    # per instance (a frozen dataclass still has a __dict__ to cache in).
-    @functools.cached_property
-    def model(self) -> ScriptModel:
-        return model_script(self)
 
 
 def expand_steps(experiment: Experiment) -> list[Step]:
@@ -677,8 +671,6 @@ def _build(members: object, shared: dict) -> Experiment:
     if not sessions:
         raise SchemaError("sessions", "at least one session is required")
 
-    if type(steps) is not _Steps:  # a tree, had the walk given up on what json.loads reads
-        steps = _build_steps(steps, shared)  # type: ignore[arg-type]
     if steps.fault is not None:  # type: ignore[union-attr]
         raise steps.fault  # type: ignore[union-attr]
     experiment = Experiment(name=name, description=description,

@@ -54,7 +54,7 @@ from .codec import (
     Pubrel,
     Suback,
 )
-from .experiment import Experiment, Identity
+from .experiment import Experiment, Identity, model_script
 from .trace import (
     K_CLOSED_BY_PEER,
     K_RECEIVED,
@@ -181,6 +181,8 @@ class Judge:
     anomalies once, in ``outcome``.  A delivery is a received PUBLISH on a
     subscriber session; a DUP copy of a qos>0 one already seen (same
     session, id, topic and payload) is a retransmission and collapses.
+    ``owed`` counts the deliveries the model expects that have not yet
+    arrived: the runner's settle waits on it.
 
     It keeps the script's model and name, not the experiment, and each
     per-packet index as flat integers: an identity, a session and a
@@ -192,7 +194,7 @@ class Judge:
 
     def __init__(self, experiment: Experiment):
         self.name = experiment.name
-        self.model = model = experiment.model
+        self.model = model = model_script(experiment)
         self.subscribers = {session: n for n, session in enumerate(
             sorted(model.subscriber_sessions))}
         self.orphan_ids = {packet_id for _, packet_id in model.orphan_pubrels}
@@ -200,8 +202,10 @@ class Judge:
         # expect as first delivered, each kept as its first copy.
         self.identities: list[Identity] = []
         self.numbers: dict[Identity, int] = {}
-        for identity in model.expected:
-            self._number(identity)
+        # By identity number (given in first-seen order, as a Counter keeps
+        # its keys), the copies the model expects that have not yet arrived.
+        self.missing = array("q", Counter(map(self._number, model.expected)).values())
+        self.owed = len(model.expected)
         self.delivered = array("q")        # identity numbers
         self.delivery_seqs = array("q")
         self.seen: set[int] = set()        # the dup-collapse keys
@@ -273,6 +277,9 @@ class Judge:
             if packet.dup and key in self.seen:
                 return
             self.seen.add(key)
+        if number < len(self.missing) and self.missing[number]:
+            self.missing[number] -= 1
+            self.owed -= 1
         self.delivered.append(number)
         self.delivery_seqs.append(seq)
         self.comp_after_delivery = None

@@ -404,6 +404,11 @@ class RefBroker:
         log.info("event=stats %s", json.dumps(self.stats(), sort_keys=True))
         log.info("event=stopped")
 
+    def join(self) -> None:
+        """Block until the loop thread ends: after stop(), or when it crashes."""
+        if self._thread is not None:
+            self._thread.join()
+
     def __enter__(self) -> RefBroker:
         return self
 

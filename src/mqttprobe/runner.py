@@ -20,8 +20,9 @@ the experiment's ``settle_ms``.  The window ends at once when every
 session is closed, and SETTLE_GAP_MS after the last event once every
 session is settled: closed, or holding every reply its packets call for
 (CONNACK, SUBACK, UNSUBACK, PUBACK/PUBREC, PUBCOMP, PINGRESP, and
-PUBREL for a PUBREC it sent) while every delivery the script model
-expects has arrived.  In a script that steps outside the protocol only
+PUBREL for a PUBREC it sent) while the judge owes no delivery: every
+one the script model expects has arrived on a subscriber session, a DUP
+copy not counted twice.  In a script that steps outside the protocol only
 a close settles a session: the broker's answer to the violation is the
 question.  The trace records the gap and which of ``closed``, ``quiet``
 or ``cap`` ended the window.  A ``wait`` step is literal, except that
@@ -36,16 +37,15 @@ inbound publishes, PUBCOMP for inbound PUBREL) unless the session
 declares ``auto_ack: false``.  In particular the runner never answers
 a PUBREC: releasing a qos 2 publish is always a scripted decision.
 
-The runner keeps no trace.  It hands each event, as it is recorded, to
-its consumers and then drops it: the caller's ``consumer`` (the oracle's
-judge, in ``run_corpus``) at once, and the trace sink, if any, once
-written.  The sink gets the header
+The runner hands each event, as it is recorded, to the run's
+``oracle.Judge`` at once, and to the trace sink, if any, once written.
+Given the caller's judge (``run_corpus`` gives one) it then drops the
+event; otherwise the trace keeps it.  The sink gets the header
 first; before each poll of a ``wait`` step or settle, the pending events,
 a chunk at a time while the chunk's writing ends SPILL_MARGIN_S before
 the poll is due; after any step that leaves SPILL_BOUND events pending,
 all of them, so a script without waits holds a bounded number; after the
-last poll, the rest and the outcome.  Settle
-counts expected deliveries as they arrive, and a run is aborted by the
+last poll, the rest and the outcome.  A run is aborted by the
 peer closes its sessions saw before their last step.
 
 RunnerError is reserved for local faults (refused connection, DNS,
@@ -63,7 +63,7 @@ import socket
 import time
 import uuid
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -184,15 +184,14 @@ class _Run:
     """The selector loop and event sequence one experiment shares across sessions."""
 
     def __init__(self, experiment: Experiment, endpoint: Endpoint, sink: TextIO | None,
-                 consumer: Callable[[TraceEvent], object]):
+                 judge: Judge, collected: list[TraceEvent] | None = None):
         self.endpoint = endpoint
         self.sink = sink
-        self.consume = consumer
+        self.judge = judge
+        self.collected = collected   # every event, when the trace keeps them
         self.seq = 0                 # of the next event
         self.pending: list[TraceEvent] = []  # recorded, for ``sink``
         self.written = 0             # of ``pending``, already in ``sink``
-        self.missing = Counter(experiment.model.expected)  # deliveries yet to arrive
-        self.owed = sum(self.missing.values())
         # Not epoll: ``EpollSelector`` passes whole milliseconds as float
         # seconds, and for about one timeout in eight epoll rounds that up
         # to one millisecond more.
@@ -209,16 +208,11 @@ class _Run:
         event = TraceEvent(self.seq, round((now - self.t0) * 1000, 3), session, kind,
                            packet, raw, annotations, auto, note)
         self.seq += 1
-        self.consume(event)
+        self.judge(event)
+        if self.collected is not None:
+            self.collected.append(event)
         if self.sink is not None:
             self.pending.append(event)
-
-    def arrived(self, packet: Publish) -> None:
-        """Count a received PUBLISH against the deliveries the model expects."""
-        identity = (packet.topic, packet.payload)
-        if self.missing[identity] > 0:
-            self.missing[identity] -= 1
-            self.owed -= 1
 
     def poll(self, timeout: float) -> None:
         """One round of the loop: wait up to ``timeout`` s, serve what is ready.
@@ -229,14 +223,11 @@ class _Run:
         stall_at = min((s.progress_at + self.endpoint.io_timeout_ms / 1000
                         for s in self.sessions.values() if s.out), default=math.inf)
         deadline = min(now + timeout, stall_at)
-        if math.isinf(deadline):
-            ready = self.selector.select(None)
-        else:
-            rest = deadline - now
-            ready = self.selector.select(rest - rest / 1000 - WAKE_MARGIN_S)
-            if not ready and (rest := deadline - time.monotonic()) > 0:
-                time.sleep(rest)
-                ready = self.selector.select(0)
+        rest = deadline - now
+        ready = self.selector.select(rest - rest / 1000 - WAKE_MARGIN_S)
+        if not ready and (rest := deadline - time.monotonic()) > 0:
+            time.sleep(rest)
+            ready = self.selector.select(0)
         self.polled_at = time.monotonic()
         for key, mask in ready:
             session = key.data
@@ -278,19 +269,20 @@ class _Run:
             if time.monotonic() >= until:
                 return
 
-    def settle(self, experiment: Experiment) -> str:
+    def settle(self, settle_ms: int) -> str:
         """Listen for at most ``settle_ms`` after the last step; say what ended it."""
-        conformant = experiment.model.input_conformant
-        subscribers = [self.sessions[sid] for sid in experiment.model.subscriber_sessions]
+        judge = self.judge
+        conformant = judge.model.input_conformant
+        subscribers = [self.sessions[sid] for sid in judge.model.subscriber_sessions]
         start = time.monotonic()
-        cap = start + experiment.settle_ms / 1000
+        cap = start + settle_ms / 1000
         while True:
             sessions = self.sessions.values()
             if not any(s.reading for s in sessions):
                 return SETTLED_CLOSED
             deadline, reason = cap, SETTLED_CAP
             if conformant and all(s.settled for s in sessions) \
-                    and (not self.owed or not any(s.reading for s in subscribers)):
+                    and (not judge.owed or not any(s.reading for s in subscribers)):
                 quiet_at = max(start, self.last_event_at) + SETTLE_GAP_MS / 1000
                 if quiet_at < cap:
                     deadline, reason = quiet_at, SETTLED_QUIET
@@ -303,7 +295,7 @@ class _Run:
         """Close every session, and cut their links back to the run.
 
         A link is a reference cycle: cut, the run and what it holds (the
-        consumer, the model's counts) go as soon as the caller drops it.
+        judge) go as soon as the caller drops it.
         """
         for session in self.sessions.values():
             session.local_close()
@@ -396,12 +388,6 @@ class _Session:
 
     def _send_frame(self, frame: bytes, packet: Packet | None,
                     auto: bool, note: str = "") -> None:
-        if self.sock is None:
-            self.run.record(self.decl.id, K_TCP_ERROR,
-                            note="send on closed session", auto=auto)
-            if not auto:
-                self.step_send_failed = True
-            return
         self.run.record(self.decl.id, K_SENT, packet, frame, (), auto, note)
         if not auto and type(packet) is Disconnect:
             self.said_bye = True
@@ -504,8 +490,6 @@ class _Session:
                 pos += consumed
                 run.record(session, K_RECEIVED, packet, frame, tuple(annotations))
                 cls = type(packet)
-                if cls is Publish:
-                    run.arrived(packet)
                 if unanswered.get(cls):
                     unanswered[cls] -= 1
                 # The auto-acks: what this client owes the broker for a
@@ -548,19 +532,23 @@ def check_reachable(endpoint: Endpoint) -> None:
 
 
 def run_experiment(experiment: Experiment, endpoint: Endpoint, sink: TextIO | None = None,
-                   consumer: Callable[[TraceEvent], object] | None = None) -> Trace:
+                   judge: Judge | None = None) -> Trace:
     """Execute one experiment and return its trace.
 
     The endpoint is checked for plain TCP reachability first, so even an
     experiment that never touches the wire fails loudly against a dead
     target instead of reporting a vacuous success.  A ``sink`` gets its
-    JSONL.  A ``consumer`` gets each event as it is recorded, and the trace
-    then holds none; without one, the trace collects them all.
+    JSONL.  A ``judge`` of the experiment gets each event as it is
+    recorded, and the trace then holds none; without one, the run makes
+    its own and the trace collects them all.  Settle reads the judge's
+    count of the deliveries still owed.
     """
     check_reachable(endpoint)
     started_at = time.time()
-    collected: list[TraceEvent] = []
-    run = _Run(experiment, endpoint, sink, consumer or collected.append)
+    collected: list[TraceEvent] | None = None
+    if judge is None:
+        judge, collected = Judge(experiment), []
+    run = _Run(experiment, endpoint, sink, judge, collected)
     if sink is not None:
         sink.write(header_line(experiment.name, endpoint.label, started_at, SETTLE_GAP_MS))
     sessions = run.sessions
@@ -596,7 +584,7 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint, sink: TextIO | No
             if len(run.pending) - run.written >= SPILL_BOUND:
                 run.spill(math.inf)
             session.steps_done_seq = run.seq - 1
-        settled_by = run.settle(experiment)
+        settled_by = run.settle(experiment.settle_ms)
     finally:
         run.close()
 
@@ -605,7 +593,7 @@ def run_experiment(experiment: Experiment, endpoint: Endpoint, sink: TextIO | No
         run.spill(math.inf)
         sink.write(outcome_line(outcome, "", settled_by))
     return Trace(experiment_name=experiment.name, endpoint=endpoint.label,
-                 started_at=started_at, events=tuple(collected), outcome=outcome,
+                 started_at=started_at, events=tuple(collected or ()), outcome=outcome,
                  settle_gap_ms=SETTLE_GAP_MS, settled_by=settled_by)
 
 
@@ -687,11 +675,11 @@ def run_corpus(experiments: Iterable[Experiment], endpoint: Endpoint,
 
 
 def _trace_or_error(experiment: Experiment, endpoint: Endpoint, trace_dir: str | None,
-                    consumer: Callable[[TraceEvent], object]) -> Trace:
+                    judge: Judge) -> Trace:
     with (contextlib.nullcontext() if trace_dir is None else
           open(os.path.join(trace_dir, f"{experiment.name}.jsonl"), "w", encoding="utf-8")) as sink:
         try:
-            return run_experiment(experiment, endpoint, sink=sink, consumer=consumer)
+            return run_experiment(experiment, endpoint, sink=sink, judge=judge)
         except RunnerError as exc:
             trace = Trace(experiment_name=experiment.name, endpoint=endpoint.label,
                           started_at=time.time(), events=(),

@@ -12,7 +12,7 @@ from collections import Counter
 from collections.abc import Iterable
 
 from mqttprobe.codec import Disconnect, Puback, Pubcomp, Publish, Pubrec, Pubrel, Suback
-from mqttprobe.experiment import Experiment, Identity
+from mqttprobe.experiment import Experiment, Identity, model_script
 from mqttprobe.oracle import (
     ACK_BEFORE_PREREQUISITE,
     DUPLICATE_DELIVERY,
@@ -25,6 +25,7 @@ from mqttprobe.oracle import (
     TOPIC_TRUNCATION,
     UNEXPECTED_DISCONNECT,
     Anomaly,
+    Judge,
     ScenarioOutcome,
     TraceMismatchError,
     _payload_text,
@@ -32,6 +33,19 @@ from mqttprobe.oracle import (
 )
 from mqttprobe.trace import (K_CLOSED_BY_PEER, K_RECEIVED, K_SENT, OUTCOME_COMPLETED, Trace,
                              TraceEvent)
+
+
+class RecordingJudge(Judge):
+    """A judge that also keeps every event it is fed, so that a live run's
+    whole trace can be given to the reference afterwards."""
+
+    def __init__(self, experiment: Experiment):
+        super().__init__(experiment)
+        self.events: list[TraceEvent] = []
+
+    def __call__(self, event: TraceEvent) -> None:
+        self.events.append(event)
+        super().__call__(event)
 
 
 def peer_closes(events: Iterable[TraceEvent]) -> list[TraceEvent]:
@@ -73,7 +87,7 @@ def evaluate_trace(experiment: Experiment, trace: Trace) -> ScenarioOutcome:
     if trace.experiment_name != experiment.name:
         raise TraceMismatchError(
             f"trace is for {trace.experiment_name!r}, not {experiment.name!r}")
-    model = experiment.model
+    model = model_script(experiment)
     received = [e for e in trace.events if e.kind == K_RECEIVED]
     delivery_events = _deliveries(received, model.subscriber_sessions)
     delivered = [(e.packet.topic, e.packet.payload) for e in delivery_events]  # type: ignore[union-attr]

@@ -34,6 +34,7 @@ from mqttprobe.profiles import PROFILED_SCENARIOS, documented_profiles
 from mqttprobe.runner import K_RECEIVED, K_SENT, Liveness, Trace, TraceEvent
 from mqttprobe.trace import trace_lines
 import reference_forms
+import reference_oracle
 
 
 def run_cli(*argv):
@@ -232,18 +233,17 @@ def test_streamed_outputs_equal_the_whole_serializers(broker, tmp_path, capsys,
     traces, reports = [], []
     run_experiment, json_report = runner.run_experiment, fuzzer._json_report
 
-    def recording_run_experiment(experiment, endpoint, sink=None, consumer=None):
-        # The run's consumer is the judge; a collector records the events too.
-        events = []
-        trace = run_experiment(experiment, endpoint, sink=sink,
-                               consumer=lambda event: (events.append(event), consumer(event)))
-        traces.append(dataclasses.replace(trace, events=tuple(events)))
+    def recording_run_experiment(experiment, endpoint, sink=None, judge=None):
+        # The run's judge records the events too.
+        trace = run_experiment(experiment, endpoint, sink=sink, judge=judge)
+        traces.append(dataclasses.replace(trace, events=tuple(judge.events)))
         return trace
 
     def recording_json_report(*args):
         reports.append(json_report(*args))
         return reports[-1]
 
+    monkeypatch.setattr(runner, "Judge", reference_oracle.RecordingJudge)
     monkeypatch.setattr(runner, "run_experiment", recording_run_experiment)
     monkeypatch.setattr(fuzzer, "_json_report", recording_json_report)
     path = _write_experiment(tmp_path, name="stream", steps=[
@@ -360,14 +360,14 @@ def test_run_holds_one_trace_at_a_time(tmp_path, monkeypatch, capsys):
     # then its events are dropped: two large traces never share memory.
     sizes = []
 
-    def large_trace(experiment, endpoint, sink=None, consumer=None):
+    def large_trace(experiment, endpoint, sink=None, judge=None):
         before = tracemalloc.get_traced_memory()[0]
         events = tuple(TraceEvent(seq=i, t_ms=i / 10, session="f", kind=K_RECEIVED,
                                   packet=Pingresp(), raw=b"\xd0\x00")
                        for i in range(50_000))
         sizes.append(tracemalloc.get_traced_memory()[0] - before)
         for event in events:
-            consumer(event)
+            judge(event)
         return Trace(experiment_name=experiment.name, endpoint=endpoint.label,
                      started_at=0.0, events=(), outcome="completed")
 
@@ -440,7 +440,7 @@ def test_run_releases_each_experiment_once_judged(tmp_path, monkeypatch, capsys)
     # only until it has run and been judged.
     experiments, held = [], []
 
-    def run(experiment, endpoint, sink=None, consumer=None):
+    def run(experiment, endpoint, sink=None, judge=None):
         held.append([ref() is not None for ref in experiments])
         experiments.append(weakref.ref(experiment))
         return Trace(experiment_name=experiment.name, endpoint=endpoint.label,
@@ -708,6 +708,33 @@ def test_serve_stops_cleanly_on_sigterm():
     assert proc.returncode == 0, err
     assert "event=stats" in err and "event=stopped" in err, err
     assert "Traceback" not in err, err
+
+
+def test_serve_exits_1_when_the_broker_loop_crashes():
+    # A supervisor must not see a live process that refuses every
+    # connection: the crash ends serve with an error.
+    code = ("from mqttprobe import cli, refbroker\n"
+            "def crash(self):\n"
+            "    raise RuntimeError('injected')\n"
+            "refbroker.RefBroker._turn = crash\n"
+            "raise SystemExit(cli.main(['serve', '--port', '0']))")
+    proc = subprocess.Popen([sys.executable, "-c", code],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 10
+        line = ""
+        while "listening on" not in line and time.monotonic() < deadline:
+            line = proc.stderr.readline()
+        assert "listening on" in line
+        socket.create_connection(("127.0.0.1", int(line.rsplit(":", 1)[1])), timeout=5).close()
+        _, err = proc.communicate(timeout=5)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 1, err
+    assert "event=loop-crash" in err and "mqttprobe: error:" in err, err
+    assert "event=stats" in err, err
 
 
 # Run in a fresh interpreter: the command, then the names of every module it loaded.

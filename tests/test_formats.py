@@ -477,6 +477,7 @@ def _documents():
         {"id": "f", "client_id": "a", "client_id_hex": "61"}], "steps": []}
     yield "decl-bad-hex", {"name": "t", "sessions": [
         {"id": "f", "protocol_name_hex": "4"}], "steps": []}
+    yield "no-sessions", {"name": "t", "sessions": [], "steps": []}
 
 
 DOCUMENTS = dict(_documents())
@@ -692,6 +693,7 @@ OUTCOMES = {
     'decl-unknown': ('sessions[0].bogus', 'unknown key'),
     'decl-twin-conflict': ('sessions[0]', "'client_id' and 'client_id_hex' are mutually exclusive"),
     'decl-bad-hex': ('sessions[0].protocol_name_hex', 'invalid hex string'),
+    'no-sessions': ('sessions', 'at least one session is required'),
 }
 
 

@@ -68,12 +68,11 @@ def test_live_judge_equals_the_reference_on_the_corpus(endpoint):
     # Fed while the runner records, then finished on the event-less trace.
     codes = set()
     for experiment in corpus.builtin_corpus():
-        judge, events = Judge(experiment), []
-        trace = run_experiment(experiment, endpoint,
-                               consumer=lambda event: (events.append(event), judge(event)))
+        judge = reference_oracle.RecordingJudge(experiment)
+        trace = run_experiment(experiment, endpoint, judge=judge)
         assert trace.events == ()
         live = evaluate_trace(experiment, trace, judge)
-        full = dataclasses.replace(trace, events=tuple(events))
+        full = dataclasses.replace(trace, events=tuple(judge.events))
         assert live == reference_oracle.evaluate_trace(experiment, full), experiment.name
         codes.update(a.code for a in live.anomalies)
     assert codes  # the refbroker's known findings
@@ -105,9 +104,10 @@ def test_repeated_deliveries_share_the_models_identities():
                       TraceEvent(seq=seq, t_ms=float(seq), session=sid, kind=kind,
                                  packet=packet, raw=b"")
                       for seq, (kind, sid, packet) in enumerate(events)))
-    outcome = evaluate_trace(experiment, trace)
+    judge = Judge(experiment)
+    outcome = evaluate_trace(experiment, trace, judge)
     assert outcome == reference_oracle.evaluate_trace(experiment, trace)
-    model = {id(identity) for identity in experiment.model.expected}
+    model = {id(identity) for identity in judge.model.expected}
     assert len(model) == 4
     assert len(outcome.delivered) == 14
     assert {id(identity) for identity in outcome.delivered} - model == {id(outcome.delivered[6])}

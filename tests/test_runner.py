@@ -1,5 +1,6 @@
 """Trace runner: sequencing invariants, failure paths, serialization."""
 
+import dataclasses
 import gc
 import io
 import json
@@ -14,11 +15,11 @@ import weakref
 import pytest
 
 from mqttprobe import corpus, runner
-from mqttprobe.codec import (Connack, Connect, Disconnect, Publish, Raw, Subscribe,
-                             encode_packet)
+from mqttprobe.codec import (Connack, Connect, DecodeMode, Disconnect, IncompleteFrame, Puback,
+                             Publish, Raw, Suback, Subscribe, decode_packet, encode_packet)
 from mqttprobe.experiment import (Experiment, SendStep, SessionDecl, SpliceNextStep,
                                   parse_experiment)
-from mqttprobe.oracle import Judge
+from mqttprobe.oracle import Judge, evaluate_trace
 from mqttprobe.runner import (
     Endpoint,
     TraceEvent,
@@ -267,7 +268,7 @@ def test_a_run_releases_its_consumer_when_it_returns(endpoint):
     released = weakref.ref(judge)
     gc.disable()
     try:
-        run_experiment(QOS21, endpoint, consumer=judge)
+        run_experiment(QOS21, endpoint, judge=judge)
         del judge
         assert released() is None
     finally:
@@ -365,6 +366,22 @@ def test_disconnect_step_closes_cleanly(endpoint):
     assert trace.outcome == OUTCOME_COMPLETED
     assert any(isinstance(e.packet, Disconnect) for e in trace.events
                if e.kind == K_SENT)
+
+
+def test_disconnect_on_a_closed_session_is_a_tcp_error(endpoint):
+    exp = _exp({
+        "name": "bye-twice", "sessions": [{"id": "f"}], "settle_ms": 200,
+        "steps": [{"action": "pingreq", "session": "f"},
+                  {"action": "disconnect", "session": "f"},
+                  {"action": "disconnect", "session": "f"}],
+    })
+    trace = run_experiment(exp, endpoint)
+    errors = [e for e in trace.events if e.kind == runner.K_TCP_ERROR]
+    assert errors == [trace.events[-1]]
+    assert (errors[0].session, errors[0].note, errors[0].auto) == \
+        ("f", "disconnect on closed session", False)
+    assert trace.outcome == OUTCOME_COMPLETED
+    assert trace.settled_by == runner.SETTLED_CLOSED
 
 
 def test_auto_ack_disabled_sends_nothing_by_itself(endpoint):
@@ -554,6 +571,51 @@ def test_settle_ends_at_once_when_the_peer_closes():
     assert time.monotonic() - started < 1.0
     assert trace.settled_by == runner.SETTLED_CLOSED
     assert any(e.kind == K_CLOSED_BY_PEER for e in trace.events)
+
+
+def test_settle_waits_for_a_delivery_a_dup_copy_does_not_stand_for():
+    # Two qos 1 publishes of one identity: delivery 7, its DUP copy, and
+    # 300 ms later delivery 8.  The copy is a retransmission, so settle
+    # still owes one delivery and waits for 8 instead of ending quiet.
+    def dup_then_late_delivery(conn, first):
+        inbound, frames = bytearray(first), 0
+        while frames < 4:  # CONNECT, SUBSCRIBE and the two publishes
+            try:
+                _, _, used = decode_packet(bytes(inbound), DecodeMode.PERMISSIVE)
+            except IncompleteFrame:
+                chunk = conn.recv(4096)
+                if not chunk:
+                    return None
+                inbound += chunk
+                continue
+            del inbound[:used]
+            frames += 1
+        delivery = Publish(b"t", b"x", 1, 7)
+        conn.sendall(b"".join(map(encode_packet, (
+            Connack(session_present=False, return_code=0), Suback(1, (1,)),
+            Puback(1), Puback(2), delivery, dataclasses.replace(delivery, dup=True)))))
+        time.sleep(0.3)
+        conn.sendall(encode_packet(Publish(b"t", b"x", 1, 8)))
+        return _read_to_eof(conn)
+
+    peer = OnePeer(dup_then_late_delivery)
+    exp = _exp({
+        "name": "dup-then-late", "sessions": [{"id": "f"}], "settle_ms": 2000,
+        "steps": [{"action": "subscribe", "session": "f", "filter": "t", "qos": 1,
+                   "packet_id": 1},
+                  {"action": "publish", "session": "f", "topic": "t", "payload": "x",
+                   "qos": 1, "packet_id": 1},
+                  {"action": "publish", "session": "f", "topic": "t", "payload": "x",
+                   "qos": 1, "packet_id": 2}],
+    })
+    started = time.monotonic()
+    trace = run_experiment(exp, peer.endpoint())
+    assert time.monotonic() - started < 2.0
+    assert trace.settled_by == runner.SETTLED_QUIET
+    received = [e.packet for e in trace.events
+                if e.kind == K_RECEIVED and type(e.packet) is Publish]
+    assert [(p.packet_id, p.dup) for p in received] == [(7, False), (7, True), (8, False)]
+    assert evaluate_trace(exp, trace).anomalies == ()
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +834,7 @@ def test_spill_leaves_a_short_wait_on_time(tmp_path):
                          packet=publish, raw=frame) for i in range(100_000)]
     path = tmp_path / "spill.jsonl"
     with path.open("w", encoding="utf-8") as sink:
-        run = runner._Run(QOS21, Endpoint(host="127.0.0.1", port=1), sink, lambda event: None)
+        run = runner._Run(QOS21, Endpoint(host="127.0.0.1", port=1), sink, Judge(QOS21))
         try:
             run.pending.extend(events)
             started = time.monotonic()
