@@ -506,6 +506,27 @@ def decode_packet(data: bytes | memoryview,
     return packet, annotations, end
 
 
+def read_frame(data: bytes | memoryview, pos: int) -> tuple[Packet | None, list[str], int] | None:
+    """Decode the frame at ``data[pos:]`` permissively, as a stream reader does.
+
+    Returns (packet, annotations, end), ``end`` being the offset after the
+    frame; None while the frame is incomplete; or (None, [reason], end)
+    for a malformed frame, where ``end`` is where its fixed header says if
+    that lies inside ``data``, else the end of ``data``, so the reader
+    resyncs there.  Pass a memoryview to read at an offset without copying.
+    """
+    try:
+        packet, annotations, length = decode_packet(data[pos:], DecodeMode.PERMISSIVE)
+    except IncompleteFrame:
+        return None
+    except MalformedFrame as exc:
+        end = len(data)
+        if exc.frame_length is not None:
+            end = min(end, pos + exc.frame_length)
+        return None, [exc.reason], end
+    return packet, annotations, pos + length
+
+
 # Each body decoder takes (class, buffer, fixed-header byte, body start,
 # body end, annotations) and appends its annotations, trailing bytes last.
 # The frame starts at offset 0, so the body's end is the frame's length.

@@ -16,9 +16,10 @@ client's backlog holds up the loop, and a new client, for one turn at
 most.  A connection in the FIFO is not read again until its whole
 frames are dispatched, so its inbound buffer holds at most one read
 plus a partial frame.  A new connection's first frame is dispatched
-and answered as soon as it is read, since a CONNECT routes nothing;
-only a CONNECT that would take over a client id still in use waits its
-turn in read order, behind what the holder sent before it.
+and answered as soon as it is read, since a CONNECT routes nothing.  A
+CONNECT that would take over a client id still in use is dispatched
+only at the FIFO's head, so it waits behind every frame read before
+it, the holder's among them.
 
 What the Router sends is appended to the target connection's outbound
 buffer, which drains whenever its socket is writable, so routing never
@@ -520,38 +521,17 @@ class RefBroker:
             self._close(conn, self._hang_up(conn))
             return
         conn.inbuf += chunk
+        self._fifo[conn] = None
         if not conn.connected:
-            self._connect_at_once(conn)
-        if conn.inbuf:
-            self._fifo[conn] = None
+            # A CONNECT routes nothing, so it is answered as soon as it is read.
+            self._dispatch_buffered(conn, 1)
+            if not conn.closed:
+                self._flush(conn)
 
     @staticmethod
     def _hang_up(conn: _Conn) -> str:
         """A peer's close: ``silent`` if it never sent a byte, else ``peer``."""
         return "peer" if conn.connected or conn.inbuf else "silent"
-
-    def _connect_at_once(self, conn: _Conn) -> None:
-        """Dispatch and answer a new connection's first frame as it is read.
-
-        A CONNECT routes nothing, so it need not wait behind other
-        connections' frames, unless it takes over a client id in use: then
-        it waits its turn behind what the holder sent before it.
-        """
-        try:
-            with memoryview(conn.inbuf) as view:
-                packet, annotations, consumed = codec.decode_packet(
-                    view, codec.DecodeMode.PERMISSIVE)
-        except codec.IncompleteFrame:
-            return
-        except codec.MalformedFrame as exc:
-            self._close(conn, "malformed", exc.reason)
-            return
-        if isinstance(packet, Connect) and self.router.in_use(packet.client_id):
-            return
-        del conn.inbuf[:consumed]
-        self._dispatch(conn, packet, annotations)
-        if not conn.closed:
-            self._flush(conn)
 
     def _flush(self, conn: _Conn) -> None:
         if conn.out:
@@ -576,31 +556,32 @@ class RefBroker:
         """Dispatch up to ``budget`` whole buffered frames; return the budget left.
 
         The connection leaves the FIFO once no whole frame is left or it
-        pauses, and keeps its place at the head when the budget ends first.
+        pauses.  It keeps its place when the budget ends first, or when its
+        next frame is a CONNECT that takes over a client id in use and it
+        is not at the FIFO's head: that CONNECT waits behind every frame
+        read before it.
         """
-        pos, cut = 0, False
+        pos, stay = 0, False
         # The view must be released before the consumed prefix is deleted:
         # a bytearray with a live export cannot be resized.
         with memoryview(conn.inbuf) as view:
-            while not conn.blocked_on:
-                try:
-                    packet, annotations, consumed = codec.decode_packet(
-                        view[pos:], codec.DecodeMode.PERMISSIVE)
-                except codec.IncompleteFrame:
-                    break
-                except codec.MalformedFrame as exc:
-                    self._close(conn, "malformed", exc.reason)
+            while not conn.blocked_on and (read := codec.read_frame(view, pos)) is not None:
+                packet, annotations, end = read
+                if packet is None:
+                    self._close(conn, "malformed", annotations[0])
                     return budget
-                if not budget:
-                    cut = True
+                if not budget or (isinstance(packet, Connect)
+                                  and self.router.in_use(packet.client_id)
+                                  and next(iter(self._fifo)) is not conn):
+                    stay = True
                     break
                 budget -= 1
-                pos += consumed
+                pos = end
                 self._dispatch(conn, packet, annotations)
                 if conn.closed:
                     return budget
         del conn.inbuf[:pos]
-        if not cut:
+        if not stay:
             del self._fifo[conn]
             self._watch(conn)
         return budget

@@ -7,7 +7,8 @@ outbound buffer, which must empty before the next step starts.  The loop reads e
 the socket cannot take yet, a ``wait`` step, settle) and at least every
 READ_INTERVAL_S between steps, so a broker that stops reading one
 session until it can write to another cannot wedge the run.  A send
-that makes no progress for ``Endpoint.io_timeout_ms`` is a tcp-error.
+that makes no progress for ``Endpoint.io_timeout_ms`` is a tcp-error,
+and so, at once, is every later send on that connection.
 Every event (sent and received, all sessions) takes a gap-free seq and
 a millisecond timestamp on that one thread, so cross-session order is
 total, and a Sent event is recorded before its bytes leave, so a reply
@@ -112,7 +113,6 @@ SPILL_MARGIN_S = 0.002
 # all but this and that thousandth, then sleeps the rest: ``time.sleep``
 # wakes about 0.05 ms late.
 WAKE_MARGIN_S = 0.001
-_PERMISSIVE = codec.DecodeMode.PERMISSIVE
 
 
 class RunnerError(Exception):
@@ -163,7 +163,9 @@ class Endpoint:
 
     @property
     def label(self) -> str:
-        return f"{self.host}:{self.port}"
+        """'host:port', the host bracketed if it holds a colon, as ``parse`` reads it."""
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        return f"{host}:{self.port}"
 
 
 _REPLIES: dict[type, type] = {
@@ -241,6 +243,10 @@ class _Run:
             if session.out and now - session.progress_at >= self.endpoint.io_timeout_ms / 1000:
                 session.send_failed(
                     f"send failed: no progress for {self.endpoint.io_timeout_ms} ms")
+                # The socket stays full, so a later send would wait out the
+                # timeout again: fail it at once instead, and keep reading.
+                with contextlib.suppress(OSError):
+                    session.sock.shutdown(socket.SHUT_WR)  # type: ignore[union-attr]
 
     def spill(self, deadline: float) -> None:
         """Write pending events a chunk at a time, each done SPILL_MARGIN_S before ``deadline``."""
@@ -472,22 +478,14 @@ class _Session:
         pos = 0
         run, session, unanswered = self.run, self.decl.id, self.unanswered
         with memoryview(self.inbuf) as view:
-            while pos < len(view):
-                try:
-                    packet, annotations, consumed = codec.decode_packet(view[pos:], _PERMISSIVE)
-                except codec.IncompleteFrame:
-                    break
-                except codec.MalformedFrame as exc:
-                    end = len(view)
-                    if exc.frame_length is not None and exc.frame_length <= end - pos:
-                        end = pos + exc.frame_length
-                    frame = bytes(view[pos:end])
-                    pos = end
+            while (read := codec.read_frame(view, pos)) is not None:
+                packet, annotations, end = read
+                frame = bytes(view[pos:end])
+                pos = end
+                if packet is None:
                     run.record(session, K_RECEIVED, Raw(frame), frame,
-                               (f"malformed: {exc.reason}",))
+                               (f"malformed: {annotations[0]}",))
                     continue
-                frame = bytes(view[pos:pos + consumed])
-                pos += consumed
                 run.record(session, K_RECEIVED, packet, frame, tuple(annotations))
                 cls = type(packet)
                 if unanswered.get(cls):
@@ -624,12 +622,11 @@ def probe_liveness(endpoint: Endpoint) -> Liveness:
             if not chunk:
                 return Liveness(False, "closed before CONNACK")
             buffer += chunk
-            try:
-                packet, _, _ = codec.decode_packet(buffer, codec.DecodeMode.PERMISSIVE)
-            except codec.IncompleteFrame:
+            if (read := codec.read_frame(buffer, 0)) is None:
                 continue
-            except codec.MalformedFrame as exc:
-                return Liveness(False, f"malformed reply: {exc.reason}")
+            packet, annotations, _ = read
+            if packet is None:
+                return Liveness(False, f"malformed reply: {annotations[0]}")
             if isinstance(packet, Connack):
                 try:
                     sock.sendall(codec.encode_packet(Disconnect()))

@@ -182,6 +182,55 @@ def test_malformed_reports_frame_length_for_resync():
     assert exc.value.frame_length == len(broken)
 
 
+@st.composite
+def _mixed_frames(draw):
+    """Valid frames, some cut short by a byte (often malformed) or with flag bit 0 flipped."""
+    frames = []
+    for seed in draw(st.lists(st.integers(0, 2**32), max_size=12)):
+        frame = encode_packet(random_valid_packet(random.Random(seed)))
+        bent = draw(st.sampled_from(["valid", "truncated", "flagged"]))
+        if bent == "truncated" and len(frame) > 2:
+            frame = splice(frame, len(frame) - 1, 1, b"", True)
+        elif bent == "flagged":
+            frame = bytes([frame[0] ^ 1]) + frame[1:]
+        frames.append(frame)
+    return frames
+
+
+def _read_stream(chunks):
+    """(packet, annotations, frame bytes) per frame, read as chunks arrive the way the runner does."""
+    buf, got = bytearray(), []
+    for chunk in chunks:
+        buf += chunk
+        pos = 0
+        with memoryview(buf) as view:
+            while (read := codec.read_frame(view, pos)) is not None:
+                packet, annotations, end = read
+                got.append((packet, annotations, bytes(view[pos:end])))
+                pos = end
+        del buf[:pos]
+    assert not buf
+    return got
+
+
+@given(_mixed_frames(), st.lists(st.integers(0, 1 << 16), max_size=8))
+def test_read_frame_gives_the_same_frames_however_the_stream_is_split(frames, cuts):
+    stream = b"".join(frames)
+    whole = _read_stream([stream])
+    # The malformed ones resync on their fixed header's length.
+    assert [frame for _, _, frame in whole] == frames
+    assert all(annotations[0] for packet, annotations, _ in whole if packet is None)
+    bounds = [0, *sorted(cut % (len(stream) + 1) for cut in cuts), len(stream)]
+    assert _read_stream(stream[a:b] for a, b in zip(bounds, bounds[1:])) == whole
+
+
+def test_read_frame_reads_at_an_offset_and_resyncs_to_the_end_without_a_header():
+    frame = encode_packet(Pingreq())
+    assert codec.read_frame(frame * 2, 2) == (Pingreq(), [], 4)
+    assert codec.read_frame(frame + b"\xc0", 2) is None
+    assert codec.read_frame(frame + b"\x00\x05ab", 2) == (None, ["reserved packet type 0"], 6)
+
+
 def test_decode_copies_a_large_payload_once():
     # Only the fields a packet returns are copied out of the caller's
     # buffer, so a large PUBLISH is held once more, not twice.

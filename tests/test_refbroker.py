@@ -1,5 +1,6 @@
 """Reference broker: routing rules (in process) and transport behavior."""
 
+import selectors
 import socket
 import statistics
 import threading
@@ -308,6 +309,22 @@ def test_first_packet_not_connect_closes(broker):
         c.close()
 
 
+@pytest.mark.parametrize("packet", [Connack(session_present=False, return_code=0),
+                                    Suback(packet_id=1, return_codes=(0,)),
+                                    Unsuback(packet_id=1), Pingresp()],
+                         ids=lambda packet: type(packet).__name__)
+def test_server_only_packet_from_a_client_is_a_violation(broker, packet):
+    with pytest.raises(refbroker.ProtocolViolation, match="server-only packet"):
+        _connected(Router(), "a", b"alpha").handle("a", packet)
+    c = _connect(broker.port, b"server-only")
+    try:
+        c.send(packet)
+        c.expect_close()
+    finally:
+        c.close()
+    assert broker.stats()["closes"]["violation"] == 1
+
+
 def test_raw_garbage_closes_but_broker_survives(broker):
     c = MiniClient(broker.port)
     try:
@@ -516,6 +533,34 @@ def test_paused_subscriber_gets_every_publish_after_backpressure(broker, monkeyp
         pub.close()
     assert got == [i.to_bytes(4, "big") for i in range(count)]
     assert broker.stats()["closes"]["slow-consumer"] == 0
+
+
+def test_a_paused_connections_frames_are_not_decoded_until_its_release(monkeypatch):
+    # The state right after a dispatch paused ``source`` on ``target``: a
+    # malformed frame buffered behind it must not even be read before release.
+    reads = []
+    read_frame = refbroker.codec.read_frame
+    monkeypatch.setattr(refbroker.codec, "read_frame",
+                        lambda data, pos: reads.append(pos) or read_frame(data, pos))
+    broker = refbroker.RefBroker()
+    broker._selector = selectors.DefaultSelector()
+    socks = socket.socketpair() + socket.socketpair()
+    try:
+        source = refbroker._Conn(socks[0], "source")
+        target = refbroker._Conn(socks[2], "target")
+        source.inbuf += b"\x00\x00"  # reserved packet type 0
+        source.blocked_on[target] = None
+        target.waiters[source] = None
+        broker._fifo[source] = None
+        broker._turn()
+        assert not reads and not source.closed and source not in broker._fifo
+        broker._release(target)
+        broker._turn()
+        assert source.closed and broker.stats()["closes"]["malformed"] == 1
+    finally:
+        broker._selector.close()
+        for sock in socks:
+            sock.close()
 
 
 def test_publisher_waits_for_every_subscriber_over_the_mark(broker, monkeypatch):

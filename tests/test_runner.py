@@ -15,8 +15,9 @@ import weakref
 import pytest
 
 from mqttprobe import corpus, runner
-from mqttprobe.codec import (Connack, Connect, DecodeMode, Disconnect, IncompleteFrame, Puback,
-                             Publish, Raw, Suback, Subscribe, decode_packet, encode_packet)
+from mqttprobe.codec import (Connack, Connect, DecodeMode, Disconnect, IncompleteFrame, Pingresp,
+                             Puback, Publish, Raw, Suback, Subscribe, decode_packet,
+                             encode_packet)
 from mqttprobe.experiment import (Experiment, SendStep, SessionDecl, SpliceNextStep,
                                   parse_experiment)
 from mqttprobe.oracle import Judge, evaluate_trace
@@ -64,15 +65,17 @@ def test_endpoint_parse():
     assert Endpoint.parse("[::1]:2000").port == 2000
 
 
-@pytest.mark.parametrize("bad", ["host:0", "host:65536", "host:abc", "", ":"])
+@pytest.mark.parametrize("bad", ["host:0", "host:65536", "host:abc", "", ":",
+                                 "[::1", "[::1]x", "::1"])
 def test_endpoint_parse_rejects(bad):
     with pytest.raises(RunnerError):
         Endpoint.parse(bad)
 
 
 def test_endpoint_label_round_trips():
-    ep = Endpoint.parse("h:1900")
-    assert Endpoint.parse(ep.label) == ep
+    for target in ("h:1900", "[::1]:2000", "[::1]"):
+        ep = Endpoint.parse(target)
+        assert Endpoint.parse(ep.label) == ep
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +342,25 @@ def test_probe_liveness_reports_a_reset_before_its_connect(monkeypatch):
     assert not live.alive and live.detail.startswith("send failed: "), live.detail
 
 
+@pytest.mark.parametrize("reply,detail", [
+    (None, "closed before CONNACK"),
+    (b"\x00\x00", "malformed reply: reserved packet type 0"),
+    (encode_packet(Pingresp()), "unexpected reply Pingresp"),
+    (b"", "no CONNACK before timeout"),
+    (b"\x20", "no CONNACK before timeout"),
+], ids=["close", "reserved-type", "pingresp", "silence", "half-connack"])
+def test_probe_liveness_failure_verdicts(reply, detail):
+    def answer(conn, first):
+        if reply is not None:  # else close at once
+            conn.sendall(reply)
+            _read_to_eof(conn)
+
+    peer = OnePeer(answer)
+    live = probe_liveness(dataclasses.replace(peer.endpoint(), io_timeout_ms=300))
+    peer.thread.join(5)
+    assert (live.alive, live.detail) == (False, detail)
+
+
 def test_run_corpus_skips_after_death():
     ep = Endpoint(host="127.0.0.1", port=_free_port(), connect_timeout_ms=300)
     exps = [
@@ -518,6 +540,38 @@ def test_slow_reading_peer_does_not_fail_a_burst():
     assert scripted == [want] * 1536
     sent = sum(len(e.raw) for e in trace.events if e.kind == K_SENT)
     assert peer.result == sent
+
+
+def test_a_peer_that_stops_reading_costs_one_send_timeout():
+    # The peer never reads, so its socket stays full after the first send
+    # stalls out: each later send must fail at once, not wait out the
+    # timeout again, or 1,200 steps would take about a minute.
+    io_timeout_ms = 300
+    release = threading.Event()
+
+    def connack_then_stall(conn, first):
+        conn.sendall(encode_packet(Connack(session_present=False, return_code=0)))
+        release.wait(10)
+
+    peer = OnePeer(connack_then_stall, rcvbuf=16_384)
+    exp = _exp({
+        "name": "stall", "sessions": [{"id": "f"}], "settle_ms": 500,
+        "steps": [{"action": "repeat", "session": "f", "count": 1200, "steps": [
+            {"action": "publish", "session": "f", "topic": "stall/t",
+             "payload": "p" * 4096}]}],
+    })
+    started = time.monotonic()
+    try:
+        trace = run_experiment(exp, dataclasses.replace(peer.endpoint(),
+                                                        io_timeout_ms=io_timeout_ms))
+    finally:
+        release.set()
+        peer.thread.join(5)
+    assert time.monotonic() - started < 5 * io_timeout_ms / 1000
+    assert trace.outcome == OUTCOME_ABORTED_BY_PEER
+    notes = [e.note for e in trace.events if e.kind == runner.K_TCP_ERROR]
+    assert notes.count(f"send failed: no progress for {io_timeout_ms} ms") == 1
+    assert len(notes) > 1
 
 
 def test_settle_ends_on_quiet_once_replies_and_deliveries_arrive(endpoint):
