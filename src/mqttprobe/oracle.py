@@ -172,6 +172,19 @@ def _payload_text(payload: bytes, limit: int = 24) -> str:
 _ACKS = (Puback, Pubrec, Pubrel, Pubcomp, Suback)
 _ACK_CODES = {cls: code for code, cls in enumerate(_ACKS)}
 _ACK_NAMES = tuple(cls.__name__.lower() for cls in _ACKS)
+_MAP_BYTES = 8192  # a bit for each of one session's 65,536 packet ids
+
+
+def _marked(bits: bytearray, key: int) -> bool:
+    """Whether ``key``'s bit is set; never for -1, a session no packet came on."""
+    return key >= 0 and bool(bits[key >> 3] >> (key & 7) & 1)
+
+
+def _mark(bits: bytearray, key: int) -> bool:
+    """Set ``key``'s bit; whether it was set before."""
+    was = _marked(bits, key)
+    bits[key >> 3] |= 1 << (key & 7)
+    return was
 
 
 class Judge:
@@ -188,8 +201,12 @@ class Judge:
     per-packet index as flat integers: an identity, a session and a
     subscriber by their number, a packet id in the low 16 bits of a key
     (the wire holds no more), an ack as ``code << 16 | packet_id``, and
-    seqs in arrays.  ``outcome`` turns them back into identities and
-    ``(name, id)`` pairs.
+    seqs in arrays.  The dup-collapse keys go to an array too; the set
+    that looks them up is built at the first DUP copy and grows from
+    then on.  Which keys have had a PUBREC, and which a PUBCOMP, are two
+    bit maps of 8 KiB per session; only a PUBCOMP that comes before any
+    PUBREC for its key is held by seq, until that PUBREC decides R3.
+    ``outcome`` turns them back into identities and ``(name, id)`` pairs.
     """
 
     def __init__(self, experiment: Experiment):
@@ -208,14 +225,17 @@ class Judge:
         self.owed = len(model.expected)
         self.delivered = array("q")        # identity numbers
         self.delivery_seqs = array("q")
-        self.seen: set[int] = set()        # the dup-collapse keys
+        self.seen_keys = array("q")        # the dup-collapse keys
+        self.seen: set[int] | None = None  # the same, from the first DUP copy on
         self.sent_seqs: dict[int, array] = {}  # scripted publishes of known identities
         # Per session, declared ones first, each in arrival order: the order
         # across sessions is the scheduler's, and would differ run to run.
         self.sessions = {decl.id: n for n, decl in enumerate(experiment.sessions)}
         self.ack_flows = [array("q") for _ in self.sessions]
-        self.first_pubrec: dict[int, int] = {}                # session key -> seq
-        self.first_pubcomp: dict[int, int] = {}
+        self.pubrecs = bytearray(_MAP_BYTES * len(self.sessions))  # a bit per session key
+        self.pubcomps = bytearray(len(self.pubrecs))
+        self.early_comps: dict[int, int] = {}             # key -> a PUBCOMP's seq, no PUBREC yet
+        self.comps_before_recs: list[tuple[int, int, int]] = []  # (comp seq, rec seq, id)
         self.last_ack_seq: int | None = None              # of a PUBACK or PUBREC
         self.comp_after_delivery: int | None = None       # first PUBCOMP since the last one
         self.first_suback: dict[int, int] = {}
@@ -274,9 +294,14 @@ class Judge:
         number = self._number((packet.topic, packet.payload))
         if packet.packet_id is not None:
             key = (number * len(self.subscribers) + subscriber) << 16 | packet.packet_id
-            if packet.dup and key in self.seen:
+            if packet.dup and self.seen is None:
+                self.seen = set(self.seen_keys)
+            if self.seen is None:
+                self.seen_keys.append(key)
+            elif packet.dup and key in self.seen:
                 return
-            self.seen.add(key)
+            else:
+                self.seen.add(key)
         if number < len(self.missing) and self.missing[number]:
             self.missing[number] -= 1
             self.owed -= 1
@@ -290,14 +315,19 @@ class Judge:
         if number is None:
             number = self.sessions[session] = len(self.ack_flows)
             self.ack_flows.append(array("q"))
+            self.pubrecs += bytes(_MAP_BYTES)
+            self.pubcomps += bytes(_MAP_BYTES)
         self.ack_flows[number].append(_ACK_CODES[cls] << 16 | packet_id)
         key = number << 16 | packet_id
         if cls is Puback or cls is Pubrec:
             self.last_ack_seq = seq
-            if cls is Pubrec:
-                self.first_pubrec.setdefault(key, seq)
+            if cls is Pubrec and not _mark(self.pubrecs, key):
+                comp_seq = self.early_comps.pop(key, None)
+                if comp_seq is not None:
+                    self.comps_before_recs.append((comp_seq, seq, packet_id))
         elif cls is Pubcomp:
-            self.first_pubcomp.setdefault(key, seq)
+            if not _mark(self.pubcomps, key) and not _marked(self.pubrecs, key):
+                self.early_comps[key] = seq
             if self.comp_after_delivery is None:
                 self.comp_after_delivery = seq
         elif cls is Suback:
@@ -354,12 +384,10 @@ class Judge:
                 f"delivered order [{order}] differs from publish order [{want_order}]"))
 
         # R3: PUBCOMP received before PUBREC for the same packet id.
-        for key, comp_seq in sorted(self.first_pubcomp.items(), key=lambda kv: kv[1]):
-            rec_seq = self.first_pubrec.get(key)
-            if rec_seq is not None and comp_seq < rec_seq:
-                anomalies.append(make_anomaly(
-                    ACK_BEFORE_PREREQUISITE, (comp_seq, rec_seq),
-                    f"PUBCOMP for id {key & 0xFFFF} arrived before its PUBREC"))
+        for comp_seq, rec_seq, packet_id in sorted(self.comps_before_recs):
+            anomalies.append(make_anomaly(
+                ACK_BEFORE_PREREQUISITE, (comp_seq, rec_seq),
+                f"PUBCOMP for id {packet_id} arrived before its PUBREC"))
 
         # R4: all forwards deferred past the acks, then completed.
         if delivery_order and self.last_ack_seq is not None \
@@ -393,7 +421,7 @@ class Judge:
         # R7 before R6: a rejected orphan release claims the close.
         orphan_rejected = False
         for session, packet_id in model.orphan_pubrels:
-            if self._key(session, packet_id) in self.first_pubcomp:
+            if _marked(self.pubcomps, self._key(session, packet_id)):
                 continue
             orphan_rejected = True
             evidence = tuple(self.orphan_pubrels.get(packet_id, ()))

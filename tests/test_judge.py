@@ -8,6 +8,7 @@ explanations, and the aborted flag.
 """
 
 import dataclasses
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,18 @@ def test_repeated_deliveries_share_the_models_identities():
     assert summary.delivered[1] is summary.delivered[5]
 
 
+def _judged(experiment, entries):
+    """The judge's outcome on (kind, session, packet) entries, checked against the reference."""
+    trace = Trace(experiment_name=experiment.name, endpoint="random:1883", started_at=0.0,
+                  outcome=OUTCOME_COMPLETED, events=tuple(
+                      TraceEvent(seq=seq, t_ms=float(seq), session=sid, kind=kind,
+                                 packet=packet, raw=b"")
+                      for seq, (kind, sid, packet) in enumerate(entries)))
+    outcome = evaluate_trace(experiment, trace)
+    assert outcome == reference_oracle.evaluate_trace(experiment, trace)
+    return outcome
+
+
 def test_ack_flow_lists_sessions_in_declaration_order():
     # Two sessions reuse packet ids, and the broker interleaves their acks
     # as it schedules them: every interleaving gives one outcome.
@@ -132,16 +145,83 @@ def test_ack_flow_lists_sessions_in_declaration_order():
         arrivals = {sid: iter(packets) for sid, packets in acks.items()}
         events = [(K_SENT, step.session, step.packet) for step in steps]
         events += [(K_RECEIVED, sid, next(arrivals[sid])) for sid in order]
-        trace = Trace(experiment_name="acks", endpoint="random:1883", started_at=0.0,
-                      outcome=OUTCOME_COMPLETED, events=tuple(
-                          TraceEvent(seq=seq, t_ms=float(seq), session=sid, kind=kind,
-                                     packet=packet, raw=b"")
-                          for seq, (kind, sid, packet) in enumerate(events)))
-        outcome = evaluate_trace(experiment, trace)
-        assert outcome == reference_oracle.evaluate_trace(experiment, trace), order
-        outcomes.add(outcome)
+        outcomes.add(_judged(experiment, events))
     [outcome] = outcomes
     assert outcome.ack_flow == (("puback", 2), ("puback", 1), ("puback", 1), ("puback", 2))
+
+
+def test_a_pubcomp_before_its_pubrec_is_found_when_the_pubrec_arrives():
+    # Ids 2 and 1 complete before their PUBRECs, which come in the other
+    # order; id 3 never gets a PUBREC, and id 4 gets its two in order.
+    steps = tuple(SendStep("p", Publish(b"t", b"x", 2, i)) for i in (1, 2, 3, 4))
+    experiment = Experiment(name="r3", steps=steps, sessions=(SessionDecl(id="p"),))
+    received = [Pubcomp(2), Pubcomp(1), Pubcomp(3), Pubrec(4), Pubrec(1), Pubcomp(1),
+                Pubrec(2), Pubcomp(4), Pubrec(1)]
+    outcome = _judged(experiment, [(K_SENT, "p", step.packet) for step in steps]
+                      + [(K_RECEIVED, "p", packet) for packet in received])
+    # Seqs 0-3 are the sends; each finding is sorted by its PUBCOMP's seq.
+    assert [(a.code, a.evidence, a.explanation) for a in outcome.anomalies] == [
+        ("ack-before-prerequisite", (4, 10), "PUBCOMP for id 2 arrived before its PUBREC"),
+        ("ack-before-prerequisite", (5, 8), "PUBCOMP for id 1 arrived before its PUBREC")]
+
+
+def test_acks_on_an_undeclared_session_are_indexed_after_the_declared_ones():
+    steps = (SendStep("p", Publish(b"t", b"x", 2, 5)),)
+    experiment = Experiment(name="stray", steps=steps, sessions=(SessionDecl(id="p"),))
+    outcome = _judged(experiment, [
+        (K_SENT, "p", steps[0].packet), (K_RECEIVED, "z", Pubcomp(5)),
+        (K_RECEIVED, "p", Pubrec(5)), (K_RECEIVED, "z", Pubrec(5)),
+        (K_RECEIVED, "p", Pubcomp(5))])
+    # Only the stray session completed first; its acks follow the declared one's.
+    assert [(a.code, a.evidence) for a in outcome.anomalies] == [
+        ("ack-before-prerequisite", (1, 3))]
+    assert outcome.ack_flow == (("pubrec", 5), ("pubcomp", 5), ("pubcomp", 5), ("pubrec", 5))
+
+
+def test_an_orphan_pubrel_counts_as_answered_only_on_its_own_session():
+    steps = (SendStep("b", Pubrel(7)),)
+    experiment = Experiment(name="orphan", steps=steps,
+                            sessions=(SessionDecl(id="a"), SessionDecl(id="b")))
+    sent = (K_SENT, "b", Pubrel(7))
+    assert _judged(experiment, [sent, (K_RECEIVED, "b", Pubcomp(7))]).anomalies == ()
+    outcome = _judged(experiment, [sent, (K_RECEIVED, "a", Pubcomp(7))])
+    assert [(a.code, a.evidence) for a in outcome.anomalies] == [("orphan-pubrel-rejected", (0,))]
+    # A session no packet came on has no bits, not the last session's last one.
+    stray = dataclasses.replace(experiment, steps=(SendStep("q", Pubrel(7)),))
+    outcome = _judged(stray, [(K_SENT, "q", Pubrel(7)), (K_RECEIVED, "b", Pubcomp(0xFFFF))])
+    assert [(a.code, a.evidence) for a in outcome.anomalies] == [("orphan-pubrel-rejected", (0,))]
+
+
+def test_judge_keeps_a_few_packed_bytes_per_delivery():
+    # 20,000 qos 1 and 2 deliveries of 400 payloads, each with its acks: the
+    # publisher's PUBACK, or its PUBREC and PUBCOMP and the subscriber's PUBREL.
+    count, payloads = 20_000, [b"%03d" % i for i in range(400)]
+    publishes = [Publish(b"t/a", payloads[i % 400], 1 + i % 2, i + 1) for i in range(count)]
+    experiment = Experiment(name="packed", sessions=(SessionDecl(id="s"), SessionDecl(id="p")),
+                            steps=(SubscribeStep("s", b"t/#", 2),
+                                   *(SendStep("p", packet) for packet in publishes)))
+    received = []
+    for packet in publishes:
+        received.append(("s", dataclasses.replace(packet)))
+        received += [("p", Puback(packet.packet_id))] if packet.qos == 1 else [
+            ("p", Pubrec(packet.packet_id)), ("s", Pubrel(packet.packet_id)),
+            ("p", Pubcomp(packet.packet_id))]
+    events = [TraceEvent(seq=seq, t_ms=float(seq), session=sid, kind=K_RECEIVED,
+                         packet=packet, raw=b"") for seq, (sid, packet) in enumerate(received)]
+    judge = Judge(experiment)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for event in events:
+            judge(event)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert judge.owed == 0 and judge.outcome(aborted=False).anomalies == ()
+    # Flat arrays: three 8-byte entries per delivery, one per ack, and two
+    # bit maps per session.  A set of dup-collapse keys and dicts of first
+    # PUBREC and PUBCOMP seqs kept 231 bytes.
+    assert held <= 48 * count, held / count
 
 
 # --- random event streams ----------------------------------------------------
@@ -235,14 +315,27 @@ def _traces(draw, experiment):
                               max_size=len(scripted))))
     for offset, (index, sent) in enumerate(zip(at, scripted)):
         entries.insert(index + offset, sent)
-    # A retransmission of a forwarded publish; a hang-up after a DISCONNECT.
-    forwarded = [i for i, (kind, _, packet, _) in enumerate(entries)
-                 if kind == K_RECEIVED and isinstance(packet, Publish) and packet.qos]
-    if forwarded and draw(st.booleans()):
-        i = draw(st.sampled_from(forwarded))
-        kind, sid, packet, auto = entries[i]
-        entries.insert(draw(st.integers(i + 1, len(entries))),
-                       (kind, sid, dataclasses.replace(packet, dup=True), auto))
+    # Two handshakes on one packet id, in opposite orders.
+    if draw(st.booleans()):
+        sid, packet_id = draw(session), draw(_IDS)
+        opening = draw(st.sampled_from(((Pubrec, Pubcomp), (Pubcomp, Pubrec))))
+        for order in (opening, opening[::-1]):
+            at = draw(st.integers(0, len(entries)))
+            entries[at:at] = [(K_RECEIVED, sid, cls(packet_id), False) for cls in order]
+    # Retransmissions of forwarded publishes, some before any plain copy of
+    # their key, so the dup-collapse set is built at varying points.
+    for early in draw(st.lists(st.booleans(), max_size=4)):
+        forwarded = [i for i, (kind, _, packet, _) in enumerate(entries)
+                     if kind == K_RECEIVED and isinstance(packet, Publish) and packet.qos]
+        if not forwarded:
+            break
+        kind, sid, packet, auto = entries[draw(st.sampled_from(forwarded))]
+        key = (packet.topic, packet.payload, packet.packet_id)
+        first = next(i for i, (k, s, p, _) in enumerate(entries)
+                     if k == K_RECEIVED and s == sid and isinstance(p, Publish)
+                     and (p.topic, p.payload, p.packet_id) == key)
+        at = st.integers(0, first) if early else st.integers(first + 1, len(entries))
+        entries.insert(draw(at), (kind, sid, dataclasses.replace(packet, dup=True), auto))
     byes = [i for i, (kind, _, packet, auto) in enumerate(entries)
             if kind == K_SENT and isinstance(packet, Disconnect) and not auto]
     if byes and draw(st.booleans()):

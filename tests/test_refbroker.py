@@ -23,6 +23,7 @@ from mqttprobe.codec import (
     Publish,
     Pubrec,
     Pubrel,
+    Raw,
     Suback,
     Subscribe,
     Unsuback,
@@ -65,6 +66,21 @@ def test_invalid_filter_is_fatal():
         r.handle("a", Subscribe(packet_id=1, entries=((b"bad/#/mid", 1),)))
     with pytest.raises(refbroker.ProtocolViolation):
         r.handle("a", Unsubscribe(packet_id=2, filters=(b"bad/#/mid",)))
+
+
+def test_router_rejects_what_its_dispatcher_never_hands_it():
+    # The broker's dispatch screens these out first; the Router still
+    # refuses them when driven directly, as a replay of scripts does.
+    r = _connected(Router(), "a", b"alpha")
+    with pytest.raises(refbroker.ProtocolViolation, match="second CONNECT"):
+        r.connect("a", Connect(client_id=b"again"))
+    with pytest.raises(refbroker.ProtocolViolation, match="SUBSCRIBE with no entries"):
+        r.handle("a", Subscribe(1, ()))
+    with pytest.raises(refbroker.ProtocolViolation, match="unroutable packet Raw"):
+        r.handle("a", Raw(b"\xf0\x00"))
+    # None of them touched the session.
+    assert r.in_use(b"alpha") and not r.in_use(b"again")
+    assert r.handle("a", Pingreq()).sends == [("a", Pingresp())]
 
 
 def test_qos1_routes_before_ack():

@@ -361,6 +361,28 @@ def test_probe_liveness_failure_verdicts(reply, detail):
     assert (live.alive, live.detail) == (False, detail)
 
 
+def test_probe_liveness_gives_up_on_a_trickled_connack():
+    # A CONNACK header announcing 127 bytes, then a byte every 100 ms: no
+    # recv waits out the 300 ms socket timeout, so the probe's own deadline
+    # ends the wait.
+    def trickle(conn, first):
+        conn.sendall(b"\x20\x7f")
+        try:
+            for _ in range(30):
+                time.sleep(0.1)
+                conn.sendall(b"\x00")
+        except OSError:
+            pass
+
+    peer = OnePeer(trickle)
+    started = time.monotonic()
+    live = probe_liveness(dataclasses.replace(peer.endpoint(), io_timeout_ms=300))
+    elapsed = time.monotonic() - started
+    peer.thread.join(5)
+    assert (live.alive, live.detail) == (False, "no CONNACK before timeout")
+    assert 0.3 <= elapsed < 2, elapsed
+
+
 def test_run_corpus_skips_after_death():
     ep = Endpoint(host="127.0.0.1", port=_free_port(), connect_timeout_ms=300)
     exps = [
