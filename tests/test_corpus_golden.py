@@ -49,30 +49,35 @@ def _outcome(summary):
     return summary
 
 
-def corpus_record(results, trace_dir):
-    """The record of judged ``results`` whose traces ``run_corpus`` wrote to ``trace_dir``."""
-    traffic = {}
-    for result in results:
-        path = os.path.join(trace_dir, f"{result.experiment.name}.jsonl")
-        with open(path, encoding="utf-8") as handle:
-            events = trace_from_jsonl(handle.read()).events
-        streams = {}
-        for event in events:
-            if event.kind not in (K_SENT, K_RECEIVED) or event.raw is None:
-                continue
-            kind = "spliced" if event.packet is None else type(event.packet).__name__.lower()
-            if event.auto:
-                kind = f"auto-{kind}"
-            direction = streams.setdefault(event.session, {}).setdefault(event.kind, {})
-            direction.setdefault(kind, []).append(event.raw)
-        traffic[result.experiment.name] = {
-            session: {direction: {kind: _digest(frames) for kind, frames in kinds.items()}
+def traffic_record(name, trace_dir):
+    """Per session, direction and packet type, the frames of ``name``'s trace in ``trace_dir``."""
+    with open(os.path.join(trace_dir, f"{name}.jsonl"), encoding="utf-8") as handle:
+        events = trace_from_jsonl(handle.read()).events
+    streams = {}
+    for event in events:
+        if event.kind not in (K_SENT, K_RECEIVED) or event.raw is None:
+            continue
+        kind = "spliced" if event.packet is None else type(event.packet).__name__.lower()
+        if event.auto:
+            kind = f"auto-{kind}"
+        direction = streams.setdefault(event.session, {}).setdefault(event.kind, {})
+        direction.setdefault(kind, []).append(event.raw)
+    return {session: {direction: {kind: _digest(frames) for kind, frames in kinds.items()}
                       for direction, kinds in directions.items()}
             for session, directions in streams.items()}
+
+
+def outcomes_record(profile):
+    """The fingerprint summary of a ``profile_to_obj`` profile, deliveries digested."""
+    return {name: _outcome(summary) for name, summary in profile["outcomes"].items()}
+
+
+def corpus_record(results, trace_dir):
+    """The record of judged ``results`` whose traces ``run_corpus`` wrote to ``trace_dir``."""
     profile = profile_to_obj(fingerprint(results, broker_label="refbroker"))
-    return {"outcomes": {name: _outcome(summary)
-                         for name, summary in profile["outcomes"].items()},
-            "traffic": traffic}
+    return {"outcomes": outcomes_record(profile),
+            "traffic": {result.experiment.name: traffic_record(result.experiment.name, trace_dir)
+                        for result in results}}
 
 
 def run_record():
