@@ -5,18 +5,23 @@ deliberately nonconformant values (non-UTF-8 client ids, wildcard
 publish topics, packet id 0) stay representable.  ``encode_packet``
 refuses only what cannot be framed at all; ``decode_packet`` runs in
 two modes: STRICT rejects any protocol violation, PERMISSIVE returns a
-best-effort packet plus one annotation per violation.
+best-effort packet plus one annotation per violation.  ``Connection``
+is the socket half of a connection that the runner's sessions and the
+refbroker's connections share.
 """
 
 from __future__ import annotations
 
 import operator
+import selectors
+import socket
 import struct
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 MAX_REMAINING_LENGTH = 268_435_455
 MAX_STRING = 65_535
+RECV_BYTES = 65_536  # asked of a socket by each read
 
 
 class PacketType(IntEnum):
@@ -695,3 +700,50 @@ def splice(frame: bytes, at: int, remove: int, insert: bytes, fixup_length: bool
         raise OutOfBounds(f"cannot locate remaining length after splice: {exc}") from exc
     body = patched[1 + length_consumed:]
     return patched[:1] + encode_remaining_length(len(body)) + body
+
+
+class Connection:
+    """A non-blocking socket, its unframed input, its unsent output and its selector events.
+
+    ``progress_at`` is when ``out`` last filled from empty or shrank.  The
+    owner reads, frames its input with ``read_frame``, and decides what a
+    close, a failed send or a stall means.
+    """
+
+    def __init__(self, sock: socket.socket | None = None):
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.out = bytearray()
+        self.progress_at = 0.0
+        self.events = 0  # selector events the socket is registered for
+
+    def watch(self, selector: selectors.BaseSelector, reading: bool) -> None:
+        """Register the socket for reads if ``reading``, and for writes while ``out``."""
+        events = ((selectors.EVENT_READ if reading else 0)
+                  | (selectors.EVENT_WRITE if self.out else 0))
+        if events == self.events:
+            return
+        if not self.events:
+            selector.register(self.sock, events, self)
+        elif not events:
+            selector.unregister(self.sock)
+        else:
+            selector.modify(self.sock, events, self)
+        self.events = events
+
+    def send(self, now: float) -> int:
+        """Send what the socket takes of ``out``; 0 if full, any other OSError raises."""
+        try:
+            sent = self.sock.send(self.out)  # type: ignore[union-attr]
+        except BlockingIOError:
+            return 0
+        if sent:
+            del self.out[:sent]
+            self.progress_at = now
+        return sent
+
+    def close(self, selector: selectors.BaseSelector) -> None:
+        """Drop ``out``, unregister the socket if it is registered, and close it."""
+        self.out.clear()
+        self.watch(selector, False)
+        self.sock.close()  # type: ignore[union-attr]

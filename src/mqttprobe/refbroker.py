@@ -6,7 +6,9 @@ conformance argument.
 
 One thread runs one selector loop over the listener and every
 connection, and all routing passes through one single-threaded Router
-called from that loop, giving every delivery a total order.
+called from that loop, giving every delivery a total order.  Each
+connection is a ``codec.Connection``, the socket half the runner's
+sessions share; its framing, turns and flow control stay here.
 
 Frames are routed in the order their bytes were read.  Each read puts
 its connection at the tail of one FIFO; between two polls the loop
@@ -91,7 +93,6 @@ TOLERATED_ANNOTATIONS = frozenset({codec.A_CLIENT_ID_NOT_UTF8})
 HIGH_WATER = 1 << 20
 # Pending output that moves no byte for this long closes its connection.
 SEND_DEADLINE_S = 5.0
-RECV_BYTES = 65536
 # Whole frames dispatched between two polls.  A frame costs about 22 us
 # (Python 3.11, 2 cores, loopback), so a turn lasts about 0.7 ms.  Under
 # the stalled_subscriber flood the probe p95 read 2.7-2.8 ms at 16,
@@ -298,21 +299,17 @@ class Router:
             self.detach(key)
 
 
-class _Conn:
-    """One accepted connection: its socket, buffers and flow state."""
+class _Conn(codec.Connection):
+    """One accepted connection: its socket half, and its flow state."""
 
     def __init__(self, sock: socket.socket, peer: str):
-        self.sock = sock
+        super().__init__(sock)
         self.peer = peer
-        self.inbuf = bytearray()    # read but not yet dispatched
-        self.out = bytearray()      # encoded, not yet taken by the socket
-        self.progress_at = 0.0      # when ``out`` last filled from empty or drained
         self.connected = False
         self.closed = False
         # Reading is paused while any of these is above HIGH_WATER.
         self.blocked_on: dict[_Conn, None] = {}
         self.waiters: dict[_Conn, None] = {}  # connections paused on this one
-        self.events = 0                       # selector events registered
 
 
 class RefBroker:
@@ -475,21 +472,6 @@ class RefBroker:
                 self._turns_cut += 1
                 return
 
-    def _watch(self, conn: _Conn) -> None:
-        """Register the events the connection waits for: input unless paused, output if pending."""
-        assert self._selector is not None
-        events = ((selectors.EVENT_READ if not conn.blocked_on else 0)
-                  | (selectors.EVENT_WRITE if conn.out else 0))
-        if events == conn.events:
-            return
-        if not conn.events:
-            self._selector.register(conn.sock, events, conn)
-        elif not events:
-            self._selector.unregister(conn.sock)
-        else:
-            self._selector.modify(conn.sock, events, conn)
-        conn.events = events
-
     def _accept(self, listener: socket.socket) -> None:
         while True:
             try:
@@ -507,11 +489,11 @@ class RefBroker:
             conn = _Conn(sock, f"{addr[0]}:{addr[1]}")
             self._conns.add(conn)
             self._accepted += 1
-            self._watch(conn)
+            conn.watch(self._selector, not conn.blocked_on)
 
     def _read(self, conn: _Conn) -> None:
         try:
-            chunk = conn.sock.recv(RECV_BYTES)
+            chunk = conn.sock.recv(codec.RECV_BYTES)
         except BlockingIOError:
             return
         except OSError as exc:
@@ -536,21 +518,17 @@ class RefBroker:
     def _flush(self, conn: _Conn) -> None:
         if conn.out:
             try:
-                sent = conn.sock.send(conn.out)
-            except BlockingIOError:
-                sent = 0
+                sent = conn.send(self._now)
             except OSError as exc:
                 self._close(conn, "peer", str(exc))
                 return
             if sent:
-                del conn.out[:sent]
-                conn.progress_at = self._now
                 del self._pending[conn]
                 if conn.out:
                     self._pending[conn] = None  # now the latest progress
         if conn.waiters and len(conn.out) <= HIGH_WATER:
             self._release(conn)
-        self._watch(conn)
+        conn.watch(self._selector, not conn.blocked_on)
 
     def _dispatch_buffered(self, conn: _Conn, budget: int) -> int:
         """Dispatch up to ``budget`` whole buffered frames; return the budget left.
@@ -583,7 +561,7 @@ class RefBroker:
         del conn.inbuf[:pos]
         if not stay:
             del self._fifo[conn]
-            self._watch(conn)
+            conn.watch(self._selector, not conn.blocked_on)
         return budget
 
     def _dispatch(self, conn: _Conn, packet: Packet, annotations: list[str]) -> None:
@@ -657,20 +635,16 @@ class RefBroker:
         self.router.detach(conn)
         if conn.out:
             try:
-                conn.sock.send(conn.out)
+                conn.send(self._now)
             except OSError:
                 pass
-        conn.out = bytearray()
         conn.inbuf = bytearray()
         self._pending.pop(conn, None)
         self._fifo.pop(conn, None)
         for target in conn.blocked_on:
             del target.waiters[conn]
         conn.blocked_on = {}
-        if conn.events:
-            assert self._selector is not None
-            self._selector.unregister(conn.sock)
-        conn.sock.close()
+        conn.close(self._selector)
         self._conns.discard(conn)
         self._release(conn)
 

@@ -1,9 +1,12 @@
 """Experiment execution against a live broker endpoint.
 
 One selector loop on the calling thread runs the steps and drains every
-session socket.  A step's ``packet``, the codec packet it carries, is
-encoded, recorded as a Sent event and appended to its session's
-outbound buffer, which must empty before the next step starts.  The loop reads every socket whenever the runner waits (a send
+session socket.  A session is a ``codec.Connection``, the socket half
+the refbroker's connections share; framing, auto-acks and what a stall
+or a close means stay here.  A step's ``packet``, the codec packet it
+carries, is encoded, recorded as a Sent event and appended to its
+session's outbound buffer, which must empty before the next step
+starts.  The loop reads every socket whenever the runner waits (a send
 the socket cannot take yet, a ``wait`` step, settle) and at least every
 READ_INTERVAL_S between steps, so a broker that stops reading one
 session until it can write to another cannot wedge the run.  A send
@@ -167,6 +170,11 @@ class Endpoint:
         host = f"[{self.host}]" if ":" in self.host else self.host
         return f"{host}:{self.port}"
 
+    def connect(self) -> socket.socket:
+        """A TCP connection to the endpoint; ``connect_timeout_ms`` is its socket timeout."""
+        return socket.create_connection((self.host, self.port),
+                                        timeout=self.connect_timeout_ms / 1000)
+
 
 _REPLIES: dict[type, type] = {
     Connect: Connack, Subscribe: codec.Suback, Unsubscribe: codec.Unsuback,
@@ -315,17 +323,13 @@ class _Run:
                    for s in self.sessions.values())
 
 
-class _Session:
+class _Session(codec.Connection):
     def __init__(self, decl, run: _Run):
+        super().__init__()
         self.decl = decl
         self.run = run
-        self.sock: socket.socket | None = None
-        self.interest = 0            # selector events the socket is registered for
         self.reading = False         # open, and the peer has not closed its side
-        self.inbuf = bytearray()     # received, not yet a whole frame
-        self.out = bytearray()
         self.out_scripted = False    # ``out`` still holds a scripted frame
-        self.progress_at = 0.0       # when ``out`` last filled or shrank
         self.unanswered: Counter = Counter()  # reply type -> still owed
         self.pending_splice: SpliceNextStep | None = None
         self.steps_done_seq = -1
@@ -337,37 +341,20 @@ class _Session:
     def settled(self) -> bool:
         return not (self.reading and (self.out or any(self.unanswered.values())))
 
-    def _watch(self) -> None:
-        """Register the socket for reads while open and writes while ``out``."""
-        interest = ((selectors.EVENT_READ if self.reading else 0)
-                    | (selectors.EVENT_WRITE if self.out else 0))
-        if interest == self.interest:
-            return
-        if not self.interest:
-            self.run.selector.register(self.sock, interest, self)
-        elif not interest:
-            self.run.selector.unregister(self.sock)
-        else:
-            self.run.selector.modify(self.sock, interest, self)
-        self.interest = interest
-
     def connect(self, auto: bool) -> None:
         """Open TCP and send CONNECT; used lazily and by connect steps."""
         self.local_close()
         endpoint = self.run.endpoint
         try:
-            sock = socket.create_connection(
-                (endpoint.host, endpoint.port),
-                timeout=endpoint.connect_timeout_ms / 1000)
+            sock = endpoint.connect()
         except OSError as exc:
-            raise RunnerError(
-                f"cannot connect to {endpoint.label}: {exc}") from exc
+            raise RunnerError(f"cannot connect to {endpoint.label}: {exc}") from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
         self.sock = sock
         self.reading = True
         self.unanswered.clear()
-        self._watch()
+        self.watch(self.run.selector, True)
         self.run.record(self.decl.id, K_CONNECTED, note=endpoint.label)
         note = "auto-connect" if auto else ""
         self.send_packet(self.decl.to_connect(), auto=auto, note=note)
@@ -413,18 +400,13 @@ class _Session:
 
     def flush(self) -> None:
         try:
-            sent = self.sock.send(self.out)  # type: ignore[union-attr]
-        except BlockingIOError:
-            sent = 0
+            self.send(time.monotonic())
         except OSError as exc:
             self.send_failed(f"send failed: {exc}")
             return
-        if sent:
-            del self.out[:sent]
-            self.progress_at = time.monotonic()
         if not self.out:
             self.out_scripted = False
-        self._watch()
+        self.watch(self.run.selector, self.reading)
 
     def send_failed(self, note: str) -> None:
         """Drop the unsent bytes; a lost scripted frame fails the step."""
@@ -434,11 +416,11 @@ class _Session:
             self.step_send_failed = True
         self.out.clear()
         self.out_scripted = False
-        self._watch()
+        self.watch(self.run.selector, self.reading)
 
     def read(self) -> None:
         try:
-            chunk = self.sock.recv(65536)  # type: ignore[union-attr]
+            chunk = self.sock.recv(codec.RECV_BYTES)  # type: ignore[union-attr]
         except BlockingIOError:
             return
         except ConnectionResetError:
@@ -467,7 +449,7 @@ class _Session:
             self.peer_closed_seq = min(self.peer_closed_seq, self.run.seq)
         self.run.record(self.decl.id, kind, note=note)
         self.reading = False
-        self._watch()
+        self.watch(self.run.selector, False)
 
     def _drain(self) -> None:
         """Record every whole frame in ``inbuf`` and keep the incomplete tail.
@@ -503,14 +485,9 @@ class _Session:
             return
         self._flush_unparsed()
         self.reading = False
-        self.out.clear()
         self.out_scripted = False
-        self._watch()
-        sock, self.sock = self.sock, None
-        try:
-            sock.close()
-        except OSError:
-            pass
+        self.close(self.run.selector)
+        self.sock = None
 
 
 def check_reachable(endpoint: Endpoint) -> None:
@@ -520,10 +497,7 @@ def check_reachable(endpoint: Endpoint) -> None:
     the probe is invisible above the transport layer.
     """
     try:
-        sock = socket.create_connection(
-            (endpoint.host, endpoint.port),
-            timeout=endpoint.connect_timeout_ms / 1000)
-        sock.close()
+        endpoint.connect().close()
     except OSError as exc:
         raise RunnerError(
             f"cannot reach {endpoint.label}: {exc}") from exc
@@ -599,12 +573,10 @@ def probe_liveness(endpoint: Endpoint) -> Liveness:
     """Fresh connection + CONNECT/CONNACK round trip."""
     client_id = f"probe-{uuid.uuid4().hex[:8]}".encode()
     try:
-        sock = socket.create_connection(
-            (endpoint.host, endpoint.port),
-            timeout=endpoint.connect_timeout_ms / 1000)
+        sock = endpoint.connect()
     except OSError as exc:
         return Liveness(False, f"connect failed: {exc}")
-    try:
+    with sock:
         sock.settimeout(endpoint.io_timeout_ms / 1000)
         try:
             sock.sendall(codec.encode_packet(Connect(client_id=client_id)))
@@ -614,7 +586,7 @@ def probe_liveness(endpoint: Endpoint) -> Liveness:
         deadline = time.monotonic() + endpoint.io_timeout_ms / 1000
         while time.monotonic() < deadline:
             try:
-                chunk = sock.recv(4096)
+                chunk = sock.recv(codec.RECV_BYTES)
             except socket.timeout:
                 return Liveness(False, "no CONNACK before timeout")
             except OSError as exc:
@@ -635,11 +607,6 @@ def probe_liveness(endpoint: Endpoint) -> Liveness:
                 return Liveness(True, f"connack rc={packet.return_code}")
             return Liveness(False, f"unexpected reply {type(packet).__name__}")
         return Liveness(False, "no CONNACK before timeout")
-    finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
 
 
 def run_corpus(experiments: Iterable[Experiment], endpoint: Endpoint,
