@@ -586,7 +586,7 @@ def probe_liveness(endpoint: Endpoint) -> Liveness:
         deadline = time.monotonic() + endpoint.io_timeout_ms / 1000
         while time.monotonic() < deadline:
             try:
-                chunk = sock.recv(codec.RECV_BYTES)
+                chunk = sock.recv(4096)
             except socket.timeout:
                 return Liveness(False, "no CONNACK before timeout")
             except OSError as exc:
