@@ -43,10 +43,8 @@ def _digest(frames):
 
 
 def _outcome(summary):
-    delivered = summary.pop("delivered")
-    summary["delivered"] = _digest([len(t).to_bytes(4, "big") + bytes.fromhex(t + p)
-                                    for t, p in delivered])
-    return summary
+    return dict(summary, delivered=_digest([len(t).to_bytes(4, "big") + bytes.fromhex(t + p)
+                                            for t, p in summary["delivered"]]))
 
 
 def traffic_record(name, trace_dir):
