@@ -301,6 +301,64 @@ def test_refbroker_close_on_nonconformant_input_is_no_anomaly(name, broker, endp
     assert evaluate_trace(experiment, trace).anomalies == ()
 
 
+# Valid scripts on which the oracle faults the refbroker (ROADMAP "Wrong
+# verdicts").  In all but the stored session the broker is right and the
+# model wrong.  Each publish is QoS 1 to t/x; the comment above each
+# names what is raised today.
+def _subscribe(session, topic_filter, packet_id=1):
+    return {"action": "subscribe", "session": session, "filter": topic_filter,
+            "qos": 1, "packet_id": packet_id}
+
+
+_PUBLISH = {"action": "publish", "session": "p", "topic": "t/x", "payload": "m",
+            "qos": 1, "packet_id": 1}
+# The SUBACK arrives before the subscriber's DISCONNECT.
+_PAUSE_THEN_BYE = ({"action": "wait", "session": "s", "ms": 50},
+                   {"action": "disconnect", "session": "s"})
+_PER_SESSION = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: model_script keeps one subscription list for every session")
+_STORED_SESSION = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP items 2 and 14: the refbroker keeps no stored session, "
+           "and the model no per-session one")
+
+
+@pytest.mark.parametrize("sessions, steps", [
+    # duplicate-delivery
+    pytest.param([{"id": "a"}, {"id": "b"}, {"id": "p"}],
+                 [_subscribe("a", "t/x"), _subscribe("b", "t/x"), _PUBLISH],
+                 marks=_PER_SESSION, id="two_subscriber_sessions"),
+    # duplicate-delivery
+    pytest.param([{"id": "s"}, {"id": "p"}],
+                 [_subscribe("s", "t/#"), _subscribe("s", "t/+", 2), _PUBLISH],
+                 marks=_PER_SESSION, id="overlapping_filters_in_one_session"),
+    # lost-message and topic-truncation
+    pytest.param([{"id": "s"}, {"id": "p"}],
+                 [_subscribe("s", "t/x"), *_PAUSE_THEN_BYE, _PUBLISH],
+                 marks=_PER_SESSION, id="clean_subscriber_gone_before_the_publish"),
+    # lost-message and topic-truncation; settle runs to its cap
+    pytest.param([{"id": "s", "clean_session": False}, {"id": "p"}],
+                 [_subscribe("s", "t/x"), *_PAUSE_THEN_BYE, _PUBLISH,
+                  {"action": "connect", "session": "s"}],
+                 marks=_STORED_SESSION, id="stored_subscriber_reconnects_after_the_publish"),
+    # duplicate-delivery
+    pytest.param([{"id": "a"}, {"id": "b"}, {"id": "p"}],
+                 [_subscribe("a", "t/x"), _subscribe("b", "t/x"),
+                  {"action": "unsubscribe", "session": "b", "filter": "t/x", "packet_id": 2},
+                  _PUBLISH],
+                 marks=_PER_SESSION, id="one_of_two_subscribers_unsubscribes"),
+])
+def test_refbroker_raises_no_warning_on_a_valid_multi_session_script(sessions, steps, endpoint):
+    experiment = parse_experiment(json.dumps({
+        "name": "multi", "sessions": sessions, "steps": steps}))
+    assert model_script(experiment).input_conformant
+    trace = run_experiment(experiment, endpoint)
+    noisy = [a.code for a in evaluate_trace(experiment, trace).anomalies
+             if a.severity >= Severity.WARNING]
+    assert noisy == []
+
+
 # ---------------------------------------------------------------------------
 # Profile diffing
 

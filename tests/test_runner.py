@@ -264,6 +264,27 @@ def test_a_close_after_a_scripted_disconnect_does_not_abort(endpoint):
     assert trace.outcome == OUTCOME_COMPLETED
 
 
+def test_a_close_during_settle_completes_with_an_unexpected_disconnect():
+    # The peer hangs up 200 ms after its CONNACK, while settle waits for
+    # the PINGRESP: every step is done, so the run completes, and the
+    # verdict names the close.
+    def connack_then_close(conn, first):
+        conn.sendall(encode_packet(Connack(session_present=False, return_code=0)))
+        time.sleep(0.2)
+
+    peer = OnePeer(connack_then_close)
+    exp = _exp({
+        "name": "settle-close", "sessions": [{"id": "f"}], "settle_ms": 5000,
+        "steps": [{"action": "pingreq", "session": "f"}],
+    })
+    trace = run_experiment(exp, peer.endpoint())
+    closed = trace.events[-1]
+    assert closed.kind == K_CLOSED_BY_PEER and closed.t_ms >= 200
+    assert trace.settled_by == runner.SETTLED_CLOSED
+    assert trace.outcome == OUTCOME_COMPLETED
+    assert [a.code for a in evaluate_trace(exp, trace).anomalies] == ["unexpected-disconnect"]
+
+
 def test_a_run_releases_its_consumer_when_it_returns(endpoint):
     # The sessions' links back to the run are cut when it closes, so the
     # run, and the judge it fed, go without waiting for the cycle collector.
