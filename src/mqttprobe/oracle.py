@@ -195,7 +195,9 @@ class Judge:
     subscriber session; a DUP copy of a qos>0 one already seen (same
     session, id, topic and payload) is a retransmission and collapses.
     ``owed`` counts the deliveries the model expects that have not yet
-    arrived: the runner's settle waits on it.
+    arrived: the runner's settle waits on it.  ``closes``, the peer closes
+    before a session's scripted DISCONNECT, is the run's one record of
+    them: R6 and the runner's abort verdict read it.
 
     It keeps the script's model and name, not the experiment, and each
     per-packet index as flat integers: an identity, a session and a

@@ -49,8 +49,9 @@ first; before each poll of a ``wait`` step or settle, the pending events,
 a chunk at a time while the chunk's writing ends SPILL_MARGIN_S before
 the poll is due; after any step that leaves SPILL_BOUND events pending,
 all of them, so a script without waits holds a bounded number; after the
-last poll, the rest and the outcome.  A run is aborted by the
-peer closes its sessions saw before their last step.
+last poll, the rest and the outcome.  A run is aborted by a lost
+scripted frame, or by a peer close in ``Judge.closes`` before its
+session's last step.
 
 RunnerError is reserved for local faults (refused connection, DNS,
 unencodable script); peer disconnects and silence are trace outcomes,
@@ -319,8 +320,9 @@ class _Run:
     @property
     def aborted(self) -> bool:
         """A scripted frame was lost, or the peer closed a session mid-script."""
-        return any(s.step_send_failed or s.peer_closed_seq <= s.steps_done_seq
-                   for s in self.sessions.values())
+        sessions = self.sessions
+        return any(s.step_send_failed for s in sessions.values()) \
+            or any(seq <= sessions[sid].steps_done_seq for seq, sid in self.judge.closes)
 
 
 class _Session(codec.Connection):
@@ -334,8 +336,6 @@ class _Session(codec.Connection):
         self.pending_splice: SpliceNextStep | None = None
         self.steps_done_seq = -1
         self.step_send_failed = False
-        self.said_bye = False        # a scripted DISCONNECT was sent
-        self.peer_closed_seq = math.inf  # the first peer close before one
 
     @property
     def settled(self) -> bool:
@@ -382,8 +382,6 @@ class _Session(codec.Connection):
     def _send_frame(self, frame: bytes, packet: Packet | None,
                     auto: bool, note: str = "") -> None:
         self.run.record(self.decl.id, K_SENT, packet, frame, (), auto, note)
-        if not auto and type(packet) is Disconnect:
-            self.said_bye = True
         reply = _reply_owed(packet)
         if reply is not None:
             self.unanswered[reply] += 1
@@ -445,8 +443,6 @@ class _Session(codec.Connection):
 
     def _peer_closed(self, kind: str, note: str) -> None:
         self._flush_unparsed()
-        if kind == K_CLOSED_BY_PEER and not self.said_bye:
-            self.peer_closed_seq = min(self.peer_closed_seq, self.run.seq)
         self.run.record(self.decl.id, kind, note=note)
         self.reading = False
         self.watch(self.run.selector, False)
