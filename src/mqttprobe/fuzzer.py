@@ -38,7 +38,7 @@ from .trace import CorpusResult
 
 # What main reports as a local error (exit 1) besides an OSError.
 LOCAL_ERRORS = (RunnerError, ExperimentError, NoOverlapError)
-JSON_CHUNK_ROWS = 64  # strings (a key, a scalar, a row of scalars) per report write
+JSON_CHUNK_ROWS = 64  # list items a report write holds at most
 
 
 # --- run -------------------------------------------------------------------
@@ -117,42 +117,6 @@ _SCALAR_TEXT = {str: _json_str, int: int.__repr__}
 _ROW_TYPES = {list, tuple}
 
 
-def _json_rows(value: object, pad: str, step: str, rows: list[str]) -> Iterator[str]:
-    """Append ``value``'s text at ``pad`` to ``rows``, flat runs of a list as one string; yield chunks.
-
-    A list is taken JSON_CHUNK_ROWS items at a time, and a full flat run
-    is a chunk of its own.
-    """
-    inner = pad + step
-    if isinstance(value, dict) and value:
-        brackets, keys, runs = "{}", [_json_str(key) + ": " for key in value], (value.values(),)
-    elif isinstance(value, (list, tuple)) and value:
-        brackets, keys = "[]", itertools.repeat("")
-        runs = (value[start:start + JSON_CHUNK_ROWS]
-                for start in range(0, len(value), JSON_CHUNK_ROWS))
-    else:
-        rows.append(_SCALAR_TEXT.get(type(value), json.dumps)(value))
-        return
-    separator = brackets[0] + inner
-    for run in runs:
-        flat = _flat_text(run, inner, step) if brackets == "[]" else None
-        if flat is not None:
-            rows.append(separator + flat)
-            separator = "," + inner
-            if len(run) == JSON_CHUNK_ROWS or len(rows) >= JSON_CHUNK_ROWS:
-                yield "".join(rows)
-                rows.clear()
-            continue
-        for item, key in zip(run, keys):
-            rows.append(separator + key)
-            yield from _json_rows(item, inner, step, rows)
-            separator = "," + inner
-            if len(rows) >= JSON_CHUNK_ROWS:
-                yield "".join(rows)
-                rows.clear()
-    rows.append(pad + brackets[1])
-
-
 def _flat_text(items: Sequence, pad: str, step: str) -> str | None:
     """List items at ``pad`` in one join when they are str and int, or rows of those of one width."""
     try:
@@ -172,11 +136,35 @@ def _flat_text(items: Sequence, pad: str, step: str) -> str | None:
     return f"[{inner}" + f"{pad}],{pad}[{inner}".join(texts) + f"{pad}]"
 
 
-def json_chunks(value: object) -> Iterator[str]:
-    """``json.dumps(value, indent=2)`` in chunks of JSON_CHUNK_ROWS strings; keys are str."""
-    rows: list[str] = []
-    yield from _json_rows(value, "\n", "  ", rows)
-    yield "".join(rows)
+def json_chunks(value: object, pad: str = "\n") -> Iterator[str]:
+    """``json.dumps(value, indent=2)`` at ``pad``, each part as it is rendered; keys are str.
+
+    A part is a bracket or a separator with its key, a scalar, or a run
+    of up to JSON_CHUNK_ROWS list items that ``_flat_text`` joins.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        separator = "{" + inner
+        for key, item in value.items():
+            yield separator + _json_str(key) + ": "
+            yield from json_chunks(item, inner)
+            separator = "," + inner
+        yield pad + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        separator = "[" + inner
+        for start in range(0, len(value), JSON_CHUNK_ROWS):
+            run = value[start:start + JSON_CHUNK_ROWS]
+            if (flat := _flat_text(run, inner, "  ")) is not None:
+                yield separator + flat
+                separator = "," + inner
+                continue
+            for item in run:
+                yield separator
+                yield from json_chunks(item, inner)
+                separator = "," + inner
+        yield pad + "]"
+    else:
+        yield _SCALAR_TEXT.get(type(value), json.dumps)(value)
 
 
 def _worst_severity(profile: BehaviorProfile) -> Severity:
